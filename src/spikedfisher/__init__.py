@@ -1,132 +1,16 @@
 """Spiked Fisher matrices: limiting law, outlier CLTs, simulation, detection.
 
-The public surface re-exports the working set of every submodule;
+The public surface re-exports the `__all__` of every submodule;
 `spikedfisher.cli` provides the matching command line front end.
 """
 
-from .detect import (
-    DetectorConfig,
-    SignalModel,
-    block_noise_model,
-    detect,
-    detectability,
-    effective_spikes,
-    equicorrelated_model,
-    estimate_count,
-    null_model,
-    records_spectrum,
-    standard_mixing,
-)
-from .errors import NumericalError, ParameterError
-from .experiments import (
-    CltStudyResult,
-    ExperimentConfig,
-    FrequencyTable,
-    ReplicateRecord,
-    SummaryStats,
-    kde_1d,
-    kde_2d,
-    run_clt_study,
-    run_detection_study,
-    silverman_bandwidth,
-    summarize,
-)
-from .randomness import ensure_generator, stream_generator
-from .sampling import (
-    GAUSSIAN,
-    RADEMACHER,
-    EntryDistribution,
-    ModelDims,
-    SpectrumSample,
-    pencil_eigenvalues,
-    sample_spectrum,
-    spectrum_packets,
-)
-from .spikes import (
-    CLTConstants,
-    LimitSampleDraw,
-    SpikeSpec,
-    clt_constants,
-    critical_interval,
-    draw_fluctuation_matrix,
-    phi,
-    phi_small_y_reduction,
-    projection_variance,
-    sample_limit_batch,
-    sample_limit_law,
-    spike_limit,
-)
-from .wachter import (
-    FisherParams,
-    MomentValues,
-    SupportEdges,
-    companion_stieltjes,
-    density,
-    integrate_against_density,
-    mass_at_zero,
-    moment_values,
-    stieltjes,
-    support_edges,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ParameterError",
-    "NumericalError",
-    "FisherParams",
-    "SupportEdges",
-    "MomentValues",
-    "support_edges",
-    "mass_at_zero",
-    "density",
-    "stieltjes",
-    "companion_stieltjes",
-    "moment_values",
-    "integrate_against_density",
-    "SpikeSpec",
-    "CLTConstants",
-    "LimitSampleDraw",
-    "critical_interval",
-    "phi",
-    "spike_limit",
-    "phi_small_y_reduction",
-    "clt_constants",
-    "projection_variance",
-    "draw_fluctuation_matrix",
-    "sample_limit_batch",
-    "sample_limit_law",
-    "EntryDistribution",
-    "GAUSSIAN",
-    "RADEMACHER",
-    "ModelDims",
-    "SpectrumSample",
-    "pencil_eigenvalues",
-    "sample_spectrum",
-    "spectrum_packets",
-    "SignalModel",
-    "DetectorConfig",
-    "estimate_count",
-    "records_spectrum",
-    "detect",
-    "effective_spikes",
-    "detectability",
-    "standard_mixing",
-    "block_noise_model",
-    "equicorrelated_model",
-    "null_model",
-    "ExperimentConfig",
-    "ReplicateRecord",
-    "CltStudyResult",
-    "FrequencyTable",
-    "SummaryStats",
-    "run_clt_study",
-    "run_detection_study",
-    "silverman_bandwidth",
-    "kde_1d",
-    "kde_2d",
-    "summarize",
-    "ensure_generator",
-    "stream_generator",
-]
+from . import detect, errors, experiments, randomness, sampling, spikes, wachter  # noqa: E402
+
+__all__ = ["__version__"]
+for _module in (errors, wachter, spikes, sampling, detect, experiments, randomness):
+    __all__ += _module.__all__
+    # Binds `detect` to the function, as the submodule's own __all__ says.
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

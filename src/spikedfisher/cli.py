@@ -12,6 +12,11 @@ separators, and a header row, so repeated runs with the same config and
 seed are byte-identical regardless of thread count.  Timestamps live only
 in manifest.json.  Exit codes: 0 success, 2 invalid parameters or config,
 3 numerical failure.
+
+A study's JSON config is read through its subcommand's field table: each
+key has a default (or is required) and a converter that calls the typed
+constructor owning the key's rule; the results build a `CltConfig` or a
+`DetectionConfig`.  Every missing, invalid or unknown key is reported at once.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import inspect
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +39,24 @@ from .detect import (
     block_noise_model,
     equicorrelated_model,
     estimate_count,
+    finite_matrix,
     null_model,
     records_spectrum,
 )
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_count
 from .experiments import (
-    ExperimentConfig,
+    CltConfig,
+    DetectionConfig,
     kde_1d,
     kde_2d,
     run_clt_study,
     run_detection_study,
     summarize,
 )
+from .randomness import require_seed
 from .sampling import EntryDistribution, ModelDims
-from .spikes import SpikeSpec, critical_interval, projection_variance
-from .wachter import FisherParams, density, mass_at_zero, support_edges
+from .spikes import SpikeSpec, projection_variance
+from .wachter import FisherParams, critical_interval, density, mass_at_zero, support_edges
 
 __all__ = ["main", "build_parser"]
 
@@ -113,217 +123,129 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-class _Violations:
-    """Collects config violations so one run reports all of them."""
+_REQUIRED = object()
 
-    def __init__(self) -> None:
-        self.messages: list[str] = []
 
-    def add(self, message: str) -> None:
-        self.messages.append(message)
+def _invalid(*messages: str) -> ParameterError:
+    return ParameterError("invalid configuration:\n  - " + "\n  - ".join(messages))
 
-    def grab(self, builder, field: str):
-        """Run a builder, converting its ParameterError into a violation."""
+
+def _read_fields(raw: dict, fields: dict, overrides: dict) -> dict:
+    """Convert each key of a JSON config by its (default, converter) entry in `fields`.
+
+    A non-None override replaces the value.  Every missing `_REQUIRED` key,
+    invalid value or unknown key is reported in one ParameterError.
+    """
+    values, bad = {}, []
+    for key, (default, convert) in fields.items():
+        value = overrides.get(key)
+        if value is None:
+            value = raw.get(key, default)
+        if value is _REQUIRED:
+            bad.append(f"{key}: missing required key")
+            continue
         try:
-            return builder()
+            values[key] = convert(value)
         except ParameterError as exc:
-            self.add(f"{field}: {exc}")
-            return None
-
-    def raise_if_any(self) -> None:
-        if self.messages:
-            raise ParameterError(
-                "invalid configuration:\n  - " + "\n  - ".join(self.messages)
-            )
+            bad.append(f"{key}: {exc}")
+    bad += [f"{key}: unknown key" for key in sorted(set(raw) - set(fields))]
+    if bad:
+        raise _invalid(*bad)
+    return values
 
 
-def _get_int(raw: dict, key: str, bad: _Violations, default=None, minimum=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        bad.add(f"{key}: missing required integer")
-        return None
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        bad.add(f"{key}: must be an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        bad.add(f"{key}: must be at least {minimum}, got {value}")
-        return None
-    return value
+def _build(label: str, make, *args):
+    """Run a constructor whose rule spans several keys; report it like a key's."""
+    try:
+        return make(*args)
+    except ParameterError as exc:
+        raise _invalid(f"{label}: {exc}") from None
 
 
-def _get_dims(entry, bad: _Violations, field: str):
-    if isinstance(entry, dict):
-        keys = {"p", "n", "T"}
-        if set(entry) != keys:
-            bad.add(f"{field}: needs exactly the keys p, n, T, got {sorted(entry)}")
-            return None
-        return bad.grab(lambda: ModelDims(entry["p"], entry["n"], entry["T"]), field)
-    if isinstance(entry, (list, tuple)) and len(entry) == 3:
-        return bad.grab(lambda: ModelDims(*entry), field)
-    bad.add(f"{field}: must be [p, n, T] or an object with keys p, n, T")
-    return None
+_OUTPUTS = ("summary", "kde")
 
 
-def _get_dist(raw: dict, bad: _Violations):
-    name = raw.get("distribution", "gaussian")
-    if not isinstance(name, str):
-        bad.add(f"distribution: must be a string, got {name!r}")
-        return None
-    return bad.grab(lambda: EntryDistribution(name), "distribution")
+def _outputs(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(o in _OUTPUTS for o in value):
+        raise ParameterError(f"must be a list drawn from {_OUTPUTS}, got {value!r}")
+    return tuple(value)
 
 
-def _parse_clt_config(raw: dict, seed_override):
-    bad = _Violations()
-    dims = None
-    if "dims" not in raw:
-        bad.add("dims: missing required object with keys p, n, T")
-    else:
-        dims = _get_dims(raw["dims"], bad, "dims")
-
-    spec = None
-    spikes_raw = raw.get("spikes")
-    if not isinstance(spikes_raw, list) or not spikes_raw:
-        bad.add("spikes: must be a nonempty list of [value, multiplicity] pairs")
-    else:
-        basis = raw.get("basis")
-        if basis is not None and not isinstance(basis, list):
-            bad.add("basis: must be null or a nested list of rows")
-            basis = None
-        spec = bad.grab(
-            lambda: SpikeSpec(
-                spikes=tuple(tuple(entry) for entry in spikes_raw),
-                basis=None if basis is None else np.asarray(basis, dtype=float),
-            ),
-            "spikes/basis",
-        )
-
-    dist = _get_dist(raw, bad)
-    # Summaries and KDEs need spread, so a study is at least 2 replicates.
-    replicates = _get_int(raw, "replicates", bad, minimum=2)
-    seed = seed_override if seed_override is not None else _get_int(raw, "seed", bad, minimum=0)
-    kde_points = _get_int(raw, "kde_points", bad, default=101, minimum=2)
-    outputs = raw.get("outputs", ["summary", "kde"])
-    if not (isinstance(outputs, list) and all(isinstance(o, str) for o in outputs)):
-        bad.add(f"outputs: must be a list of strings, got {outputs!r}")
-        outputs = ["summary", "kde"]
-
-    known = {
-        "dims", "spikes", "basis", "distribution", "replicates", "seed",
-        "kde_points", "outputs",
-    }
-    for key in sorted(set(raw) - known):
-        bad.add(f"{key}: unknown key")
-
-    config = None
-    if not bad.messages:
-        config = bad.grab(
-            lambda: ExperimentConfig(
-                ladder=(dims,),
-                target=spec,
-                dist=dist,
-                replicates=replicates,
-                master_seed=seed,
-                outputs=tuple(outputs),
-            ),
-            "config",
-        )
-    bad.raise_if_any()
-    return config, kde_points
+_CLT_FIELDS = {
+    "dims": (_REQUIRED, ModelDims.coerce),
+    "spikes": (_REQUIRED, lambda v: SpikeSpec(spikes=v)),
+    "basis": (None, lambda v: v),  # checked against the spikes by SpikeSpec below
+    "distribution": ("gaussian", EntryDistribution),
+    "replicates": (_REQUIRED, lambda v: require_count(v, "replicates", CltConfig.MIN_REPLICATES)),
+    "seed": (_REQUIRED, require_seed),
+    "kde_points": (101, lambda v: require_count(v, "kde_points", 2)),
+    "outputs": (list(_OUTPUTS), _outputs),
+}
 
 
-_MODEL_KINDS = ("block-noise", "equicorrelated", "null", "custom")
+def _clt_config(raw: dict, seed) -> tuple[CltConfig, dict]:
+    f = _read_fields(raw, _CLT_FIELDS, {"seed": seed})
+    spec = _build("basis", SpikeSpec, f["spikes"].spikes, f["basis"])
+    config = _build("spikes", CltConfig, f["dims"], spec, f["distribution"], f["replicates"], f["seed"])
+    return config, f
 
 
-def _parse_detect_config(raw: dict, seed_override, dn_override):
-    bad = _Violations()
-    ladder_raw = raw.get("ladder")
-    ladder = []
-    if not isinstance(ladder_raw, list) or not ladder_raw:
-        bad.add("ladder: must be a nonempty list of [p, n, T] entries")
-    else:
-        for pos, entry in enumerate(ladder_raw):
-            dims = _get_dims(entry, bad, f"ladder[{pos}]")
-            if dims is not None:
-                ladder.append(dims)
+# Model kind -> factory of its ModelDims -> SignalModel builder; the
+# factory's parameters are the kind's keys.  The builder's constructor
+# checks their values when it meets a rung.
+_MODEL_KINDS = {
+    "block-noise": lambda: block_noise_model,
+    "equicorrelated": lambda rho=0.1: partial(equicorrelated_model, rho=rho),
+    "null": lambda: null_model,
+    "custom": lambda mixing, noise_cov: partial(SignalModel, mixing, noise_cov),
+}
 
-    model_raw = raw.get("model")
-    builder = None
-    if not isinstance(model_raw, dict) or "kind" not in model_raw:
-        bad.add('model: must be an object with a "kind" key')
-    else:
-        kind = model_raw["kind"]
-        extra = set(model_raw) - {"kind", "rho", "mixing", "noise_cov"}
-        for key in sorted(extra):
-            bad.add(f"model.{key}: unknown key")
-        if kind == "block-noise":
-            builder = block_noise_model
-        elif kind == "equicorrelated":
-            rho = model_raw.get("rho", 0.1)
-            if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-                bad.add(f"model.rho: must be a number, got {rho!r}")
-            else:
-                builder = lambda dims, _rho=float(rho): equicorrelated_model(dims, _rho)
-        elif kind == "null":
-            builder = null_model
-        elif kind == "custom":
-            mixing = model_raw.get("mixing")
-            noise = model_raw.get("noise_cov")
-            if not isinstance(mixing, list) or not isinstance(noise, list):
-                bad.add("model: custom kind needs nested-list mixing and noise_cov")
-            elif len(ladder_raw or []) != 1:
-                bad.add("model: a custom model pins p, so the ladder must have one entry")
-            else:
-                builder = lambda dims, _m=mixing, _n=noise: SignalModel(
-                    mixing=np.asarray(_m, dtype=float),
-                    noise_cov=np.asarray(_n, dtype=float),
-                    dims=dims,
-                )
-        else:
-            bad.add(f"model.kind: unknown kind {kind!r}; choose from {_MODEL_KINDS}")
 
-    dist = _get_dist(raw, bad)
-    replicates = _get_int(raw, "replicates", bad, minimum=1)
-    seed = seed_override if seed_override is not None else _get_int(raw, "seed", bad, minimum=0)
+def _model(value):
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ParameterError('must be an object with a "kind" key')
+    args = dict(value)
+    kind = args.pop("kind")
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise ParameterError(f"unknown kind {kind!r}; choose from {tuple(_MODEL_KINDS)}")
+    make = _MODEL_KINDS[kind]
+    try:
+        inspect.signature(make).bind(**args)
+    except TypeError as exc:
+        raise ParameterError(f"kind {kind!r}: {exc}") from None
+    return make(**args)
 
-    shift = dn_override if dn_override is not None else raw.get("dn_override")
-    detector = None
-    if shift is not None and (isinstance(shift, bool) or not isinstance(shift, (int, float))):
-        bad.add(f"dn_override: must be null or a positive number, got {shift!r}")
-    else:
-        detector = bad.grab(
-            lambda: DetectorConfig(shift=None if shift is None else float(shift)),
-            "dn_override",
-        )
 
-    known = {"ladder", "model", "distribution", "replicates", "seed", "dn_override"}
-    for key in sorted(set(raw) - known):
-        bad.add(f"{key}: unknown key")
+def _ladder(value) -> tuple[ModelDims, ...]:
+    if not isinstance(value, list):
+        raise ParameterError(f"must be a list of [p, n, T] entries, got {value!r}")
+    return tuple(ModelDims.coerce(entry) for entry in value)
 
-    config = None
-    if not bad.messages:
-        config = bad.grab(
-            lambda: ExperimentConfig(
-                ladder=tuple(ladder),
-                target=builder,
-                dist=dist,
-                replicates=replicates,
-                master_seed=seed,
-                detector=detector,
-                outputs=("summary",),
-            ),
-            "config",
-        )
-    bad.raise_if_any()
-    return config
+
+_DETECT_FIELDS = {
+    "ladder": (_REQUIRED, _ladder),
+    "model": (_REQUIRED, _model),
+    "distribution": ("gaussian", EntryDistribution),
+    "replicates": (_REQUIRED, lambda v: require_count(v, "replicates", DetectionConfig.MIN_REPLICATES)),
+    "seed": (_REQUIRED, require_seed),
+    "dn_override": (None, lambda v: DetectorConfig(shift=v)),
+}
+
+
+def _detect_config(raw: dict, seed, dn_override) -> DetectionConfig:
+    f = _read_fields(raw, _DETECT_FIELDS, {"seed": seed, "dn_override": dn_override})
+    if raw["model"]["kind"] == "custom" and len(f["ladder"]) != 1:
+        raise _invalid("model: a custom model pins p, so the ladder must have one entry")
+    return _build(
+        "ladder", DetectionConfig,
+        f["ladder"], f["model"], f["distribution"], f["replicates"], f["seed"], f["dn_override"],
+    )
 
 
 def cmd_law(args) -> int:
     params = FisherParams(c=args.c, y=args.y)
     edges = support_edges(params)
-    if args.points < 0:
-        raise ParameterError(f"--points must be nonnegative, got {args.points}")
+    require_count(args.points, "--points", 0)
     x_min = edges.lower if args.x_min is None else args.x_min
     x_max = edges.upper if args.x_max is None else args.x_max
     if args.points > 1 and not x_min < x_max:
@@ -404,31 +326,26 @@ def _clt_summary_entry(result, index: int) -> dict:
 
 def cmd_simulate_clt(args) -> int:
     raw = _load_config(args.config)
-    config, kde_points = _parse_clt_config(raw, args.seed)
+    config, fields = _clt_config(raw, args.seed)
+    kde_points = fields["kde_points"]
     result = run_clt_study(config, threads=args.threads)
     out = _out_dir(args)
 
     spikes = result.spec.spikes
-    header = ["replicate"]
-    for i, (_, mult) in enumerate(spikes):
-        header += [f"stat_{i + 1}_{j + 1}" for j in range(mult)]
-    for i, (_, mult) in enumerate(spikes):
-        header += [f"limit_{i + 1}_{j + 1}" for j in range(mult)]
-    rows = []
-    for rep in range(config.replicates):
-        row = [rep]
-        for i in range(len(spikes)):
-            row.extend(result.empirical[i][rep])
-        for i in range(len(spikes)):
-            row.extend(result.limit[i][rep])
-        rows.append(row)
+    header = ["replicate"] + [
+        f"{kind}_{i + 1}_{j + 1}"
+        for kind in ("stat", "limit")
+        for i, (_, mult) in enumerate(spikes)
+        for j in range(mult)
+    ]
+    blocks = result.empirical + result.limit
+    rows = ([rep, *(v for block in blocks for v in block[rep])] for rep in range(config.replicates))
     _write_csv(out / "replicates.csv", header, rows)
     written = ["replicates.csv"]
 
-    if "kde" in config.outputs:
+    if "kde" in fields["outputs"]:
         for i, (_, mult) in enumerate(spikes):
-            emp = result.empirical[i]
-            lim = result.limit[i]
+            emp, lim = result.empirical[i], result.limit[i]
             if mult == 1:
                 grid = _kde_grid(np.concatenate([emp[:, 0], lim[:, 0]]), kde_points)
                 name = f"kde_spike{i + 1}.csv"
@@ -456,7 +373,7 @@ def cmd_simulate_clt(args) -> int:
                 written.append(name)
             # Packets of multiplicity > 2 are summarized but not gridded.
 
-    if "summary" in config.outputs:
+    if "summary" in fields["outputs"]:
         summary = {
             "dims": {"p": result.dims.p, "n": result.dims.n, "T": result.dims.T},
             "distribution": result.dist.name,
@@ -480,7 +397,7 @@ def cmd_simulate_clt(args) -> int:
 
 def cmd_detect_study(args) -> int:
     raw = _load_config(args.config)
-    config = _parse_detect_config(raw, args.seed, args.dn_override)
+    config = _detect_config(raw, args.seed, args.dn_override)
     table = run_detection_study(config, threads=args.threads)
     out = _out_dir(args)
     rows = [
@@ -514,12 +431,7 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParameterError(f"cannot read records file {path}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"cannot parse records file {path}: {exc}") from exc
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim != 2:
-        raise ParameterError(f"records file {path} must hold a 2-d matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"records file {path} contains non-finite values")
-    return arr
+    return finite_matrix(arr, f"records file {path}")
 
 
 def cmd_detect(args) -> int:
@@ -619,7 +531,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

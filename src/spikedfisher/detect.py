@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .sampling import ModelDims, pencil_eigenvalues
-from .spikes import critical_interval
-from .wachter import FisherParams, support_edges
+from .errors import ParameterError, require_real
+from .sampling import ModelDims, _gram_pencil
+from .wachter import FisherParams, critical_interval, support_edges
 
 __all__ = [
     "SignalModel",
@@ -60,9 +59,22 @@ _IDENTITY_TOL = 1e-12
 _TW1_Q95 = 0.9793
 
 
+def finite_matrix(mat, label: str) -> np.ndarray:
+    """The matrix rule of models and records: numeric, 2-d, all entries finite."""
+    try:
+        mat = np.asarray(mat, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{label} must be a numeric matrix with rows of equal length") from None
+    if mat.ndim != 2:
+        raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ParameterError(f"{label} contains non-finite values")
+    return mat
+
+
 def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = finite_matrix(mat, label)
+    if mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"{label} must be a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
     if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
@@ -94,9 +106,7 @@ class SignalModel:
     signal_cov: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        mixing = np.asarray(self.mixing, dtype=float)
-        if mixing.ndim != 2:
-            raise ParameterError(f"mixing matrix must be 2-d, got shape {mixing.shape}")
+        mixing = finite_matrix(self.mixing, "mixing matrix")
         noise = _check_spd(self.noise_cov, "noise covariance")
         p, k = mixing.shape
         if p != self.dims.p:
@@ -153,10 +163,10 @@ class DetectorConfig:
 
     def __post_init__(self) -> None:
         if self.shift is not None:
-            if not (math.isfinite(self.shift) and self.shift > 0.0):
-                raise ParameterError(
-                    f"threshold shift must be finite and positive, got {self.shift}"
-                )
+            shift = require_real(self.shift, "threshold shift")
+            if shift <= 0.0:
+                raise ParameterError(f"threshold shift must be positive, got {shift}")
+            object.__setattr__(self, "shift", shift)
 
     def offset(self, p: int) -> float:
         """Resolved threshold shift at dimension p."""
@@ -265,19 +275,11 @@ def records_spectrum(
             f"signal and noise records disagree on the dimension: "
             f"{x.shape[0]} vs {z.shape[0]} rows"
         )
-    p, t_len = x.shape
-    n_len = z.shape[1]
-    if p >= n_len:
-        raise ParameterError(
-            f"need more noise records than dimensions (p < n), got p={p}, n={n_len}"
-        )
+    dims = ModelDims(p=x.shape[0], n=z.shape[1], T=x.shape[1])  # checks p < n
     if center:
         x = x - x.mean(axis=1, keepdims=True)
         z = z - z.mean(axis=1, keepdims=True)
-    s1 = x @ x.T / t_len
-    s2 = z @ z.T / n_len
-    vals = pencil_eigenvalues(s1, s2)
-    return vals, FisherParams(c=p / t_len, y=p / n_len)
+    return _gram_pencil(x, z), dims.fisher_params()
 
 
 def detect(
@@ -373,7 +375,8 @@ def equicorrelated_model(dims: ModelDims, rho: float = 0.1) -> SignalModel:
     Noise covariance (1 - rho) I + rho 11^T, positive definite for
     rho in (-1/(p-1), 1); mixing matrix `standard_mixing`.
     """
-    if not (math.isfinite(rho) and -1.0 / (dims.p - 1) < rho < 1.0):
+    rho = require_real(rho, "equicorrelation rho")
+    if not (rho * (dims.p - 1) > -1.0 and rho < 1.0):
         raise ParameterError(
             f"equicorrelation must lie in (-1/(p-1), 1) for p={dims.p}, got {rho}"
         )

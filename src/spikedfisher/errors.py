@@ -1,9 +1,14 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the count and number rules.
 
 Two failure classes are distinguished so that callers (and the command line
 front end) can map them to different exit codes: bad inputs versus numerical
 breakdown at valid inputs.
 """
+
+import math
+import numbers
+
+__all__ = ["ParameterError", "NumericalError"]
 
 
 class ParameterError(ValueError):
@@ -12,3 +17,20 @@ class ParameterError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed at inputs that passed validation."""
+
+
+def require_count(value, label: str, minimum: int) -> int:
+    """An integer (not a bool) of at least `minimum`, returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterError(f"{label} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def require_real(value, label: str) -> float:
+    """A finite real number (not a bool), returned as a float."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ParameterError(f"{label} must be a finite number, got {value!r}")

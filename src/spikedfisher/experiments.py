@@ -1,11 +1,12 @@
 """Monte Carlo studies over replicated Fisher spectra.
 
-Two study drivers: `run_clt_study` pairs empirical sqrt(p)-scaled outlier
-packets with draws from the limiting fluctuation law, `run_detection_study`
-tabulates the signal counter along a dimension ladder.  Replicates are
-embarrassingly parallel; each one derives its own counter-based stream from
-(master_seed, stream tag, replicate index), so results are bit-identical
-for any thread count and any scheduling order.
+Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
+pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
+fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
+counter along a dimension ladder.  Replicates are embarrassingly parallel;
+each one derives its own counter-based stream from (master_seed, stream
+tag, replicate index), so results are bit-identical for any thread count
+and any scheduling order.
 """
 
 from __future__ import annotations
@@ -13,19 +14,20 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from .detect import DetectorConfig, SignalModel, detect
-from .errors import ParameterError
-from .randomness import stream_generator
+from .errors import ParameterError, require_count
+from .randomness import require_seed, stream_generator
 from .sampling import EntryDistribution, ModelDims, sample_spectrum, spectrum_packets
 from .spikes import CLTConstants, SpikeSpec, clt_constants, sample_limit_batch
 
 __all__ = [
-    "ExperimentConfig",
-    "ReplicateRecord",
+    "CltConfig",
+    "DetectionConfig",
     "CltStudyResult",
     "FrequencyTable",
     "SummaryStats",
@@ -42,69 +44,79 @@ _SPECTRUM_STREAM = 1
 _LIMIT_STREAM = 2
 _DETECT_STREAM = 3
 
-_KNOWN_OUTPUTS = ("summary", "kde")
-
 COUNT_BIN_LABELS = ("0", "1", "2", "3", "4", "5+")
 
 
+def _check_study(config) -> None:
+    """The rules both study configs share: entry law, replicates, seed."""
+    if not isinstance(config.dist, EntryDistribution):
+        raise ParameterError(f"dist must be an EntryDistribution, got {config.dist!r}")
+    replicates = require_count(config.replicates, "replicates", config.MIN_REPLICATES)
+    object.__setattr__(config, "replicates", replicates)
+    object.__setattr__(config, "master_seed", require_seed(config.master_seed))
+
+
 @dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """One simulation study.
+class CltConfig:
+    """A fluctuation study at one (p, n, T).
 
     Attributes:
-        ladder: tuple of ModelDims to sweep; CLT studies use exactly one.
-        target: what to simulate.  A SpikeSpec (CLT study), a SignalModel
-            (single-rung detection study), or a callable mapping ModelDims
-            to a SignalModel (detection study along the ladder).
+        dims: a ModelDims, or anything `ModelDims.coerce` accepts.
+        spec: the spikes; at least one, total rank at most p.  Detachment
+            is checked when the study starts.
         dist: entry distribution of the data matrices.
-        replicates: Monte Carlo replicates per rung.
+        replicates: Monte Carlo replicates, at least 2 (summaries and
+            density estimates need spread).
         master_seed: root of all replicate streams (nonnegative, 64-bit).
-        detector: threshold rule for detection studies.
-        outputs: which summaries the front end should materialize, from
-            {"summary", "kde"}.
     """
 
+    MIN_REPLICATES: ClassVar[int] = 2
+
+    dims: ModelDims
+    spec: SpikeSpec
+    dist: EntryDistribution
+    replicates: int
+    master_seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dims", ModelDims.coerce(self.dims))
+        if not isinstance(self.spec, SpikeSpec) or not self.spec.spikes:
+            raise ParameterError("a CLT study needs a SpikeSpec with at least one spike")
+        self.spec.require_fits(self.dims.p)
+        _check_study(self)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionConfig:
+    """A detection study along a dimension ladder.
+
+    Attributes:
+        ladder: at least one rung, each as `CltConfig.dims`.
+        model: builder mapping each rung's ModelDims to its SignalModel.
+        dist: entry distribution of signals and noise.
+        replicates: Monte Carlo replicates per rung, at least 1.
+        master_seed: root of all replicate streams (nonnegative, 64-bit).
+        detector: threshold rule of the signal counter.
+    """
+
+    MIN_REPLICATES: ClassVar[int] = 1
+
     ladder: tuple[ModelDims, ...]
-    target: object
+    model: Callable[[ModelDims], SignalModel]
     dist: EntryDistribution
     replicates: int
     master_seed: int
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    outputs: tuple[str, ...] = ("summary", "kde")
 
     def __post_init__(self) -> None:
-        rungs = tuple(
-            d if isinstance(d, ModelDims) else ModelDims(*d) for d in self.ladder
-        )
-        if not rungs:
+        if not isinstance(self.ladder, (list, tuple)) or not self.ladder:
             raise ParameterError("dimension ladder must contain at least one (p, n, T)")
-        object.__setattr__(self, "ladder", rungs)
-        if not isinstance(self.dist, EntryDistribution):
-            raise ParameterError(f"dist must be an EntryDistribution, got {self.dist!r}")
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
-            raise ParameterError(f"replicates must be a positive integer, got {self.replicates!r}")
-        if (
-            not isinstance(self.master_seed, (int, np.integer))
-            or isinstance(self.master_seed, bool)
-            or not 0 <= self.master_seed < 2**64
-        ):
-            raise ParameterError(
-                f"master seed must be a nonnegative 64-bit integer, got {self.master_seed!r}"
-            )
-        bad = [o for o in self.outputs if o not in _KNOWN_OUTPUTS]
-        if bad:
-            raise ParameterError(f"unknown outputs {bad}; choose from {_KNOWN_OUTPUTS}")
+        object.__setattr__(self, "ladder", tuple(ModelDims.coerce(d) for d in self.ladder))
+        if not callable(self.model):
+            raise ParameterError(f"model must be a builder of SignalModels, got {self.model!r}")
         if not isinstance(self.detector, DetectorConfig):
             raise ParameterError(f"detector must be a DetectorConfig, got {self.detector!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicateRecord:
-    """Per-replicate outcome: centered-scaled packets and/or a count."""
-
-    index: int
-    packets: tuple[np.ndarray, ...] = ()
-    k_hat: int | None = None
+        _check_study(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +124,15 @@ class CltStudyResult:
     """Outcome of a fluctuation study at one (p, n, T).
 
     `empirical[i]` stacks sqrt(p)(l - lam_i) over replicates for spike i
-    (shape (replicates, n_i), columns descending within the packet);
-    `limit[i]` holds as many independent draws of the matching limit law.
+    (shape (replicates, n_i), rows in replicate order, columns descending
+    within the packet); `limit[i]` holds as many independent draws of the
+    matching limit law.
     """
 
     dims: ModelDims
     spec: SpikeSpec
     dist: EntryDistribution
     constants: tuple[CLTConstants, ...]
-    records: tuple[ReplicateRecord, ...]
     empirical: tuple[np.ndarray, ...]
     limit: tuple[np.ndarray, ...]
 
@@ -161,15 +173,14 @@ class FrequencyTable:
 
 def _map_indexed(worker, count: int, threads: int) -> list:
     """Run worker(0..count-1), results in index order regardless of threads."""
-    if threads < 1:
-        raise ParameterError(f"thread count must be at least 1, got {threads}")
+    require_count(threads, "thread count", 1)
     if threads == 1:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(count)))
 
 
-def run_clt_study(config: ExperimentConfig, threads: int = 1) -> CltStudyResult:
+def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     """Monte Carlo fluctuation study with paired limit-law draws.
 
     Replicate r simulates one spectrum from the stream (master_seed,
@@ -178,42 +189,24 @@ def run_clt_study(config: ExperimentConfig, threads: int = 1) -> CltStudyResult:
     so empirical and limit samples are independent.
 
     Raises:
-        ParameterError: unless the target is a SpikeSpec with at least one
-            spike, all spikes detached, and the ladder has exactly one rung.
+        ParameterError: unless every spike is detached at the config's
+            finite-sample ratios.
     """
-    spec = config.target
-    if not isinstance(spec, SpikeSpec):
-        raise ParameterError("a CLT study needs a SpikeSpec target")
-    if not spec.spikes:
-        raise ParameterError("a CLT study needs at least one spike")
-    if len(config.ladder) != 1:
-        raise ParameterError(
-            f"a CLT study runs at a single (p, n, T); got {len(config.ladder)} rungs"
-        )
-    dims = config.ladder[0]
-    if spec.rank > dims.p:
-        raise ParameterError(
-            f"total spike rank {spec.rank} exceeds the dimension p={dims.p}"
-        )
+    dims, spec = config.dims, config.spec
     params = dims.fisher_params()
     v4 = config.dist.fourth_moment
     # Validates detachment of every spike before any sampling starts.
     consts = tuple(clt_constants(params, v, v4) for v in spec.values)
     scale = math.sqrt(dims.p)
 
-    def one(rep: int) -> ReplicateRecord:
+    def one(rep: int) -> tuple[np.ndarray, ...]:
         rng = stream_generator(config.master_seed, _SPECTRUM_STREAM, rep)
         sample = sample_spectrum(rng, dims, spec, config.dist)
         packets = spectrum_packets(sample, spec)
-        stats = tuple(
-            scale * (packet - c.lam) for packet, c in zip(packets, consts)
-        )
-        return ReplicateRecord(index=rep, packets=stats)
+        return tuple(scale * (packet - c.lam) for packet, c in zip(packets, consts))
 
-    records = tuple(_map_indexed(one, config.replicates, threads))
-    empirical = tuple(
-        np.vstack([r.packets[i] for r in records]) for i in range(len(spec.spikes))
-    )
+    per_replicate = _map_indexed(one, config.replicates, threads)
+    empirical = tuple(np.vstack(column) for column in zip(*per_replicate))
     limit_rng = stream_generator(config.master_seed, _LIMIT_STREAM)
     limit = tuple(
         sample_limit_batch(limit_rng, params, spec, v4, size=config.replicates)
@@ -223,7 +216,6 @@ def run_clt_study(config: ExperimentConfig, threads: int = 1) -> CltStudyResult:
         spec=spec,
         dist=config.dist,
         constants=consts,
-        records=records,
         empirical=empirical,
         limit=limit,
     )
@@ -234,44 +226,26 @@ def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def run_detection_study(config: ExperimentConfig, threads: int = 1) -> FrequencyTable:
+def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder.
 
-    The target must be a SignalModel (single rung) or a callable building
-    one per rung.  Each replicate draws signal coefficients, signal-block
-    noise, and pure-noise records in that order from its own stream, runs
-    the detector at the rung's finite-sample ratios, and lands in one of
-    the count bins 0..4 or "5+".
+    The config's builder makes one SignalModel per rung.  Each replicate
+    draws signal coefficients, signal-block noise, and pure-noise records
+    in that order from its own stream, runs the detector at the rung's
+    finite-sample ratios, and lands in one of the count bins 0..4 or "5+".
+
+    Raises:
+        ParameterError: if the builder rejects a rung, or returns anything
+            but a SignalModel of that rung's dimensions.
     """
-    target = config.target
-    if isinstance(target, SignalModel):
-        if len(config.ladder) != 1:
-            raise ParameterError(
-                "a fixed SignalModel target needs a single-rung ladder"
-            )
-        if target.dims != config.ladder[0]:
-            raise ParameterError(
-                f"SignalModel dims {target.dims} disagree with the ladder rung "
-                f"{config.ladder[0]}"
-            )
-        models = [target]
-    elif callable(target):
-        models = []
-        for dims in config.ladder:
-            model = target(dims)
-            if not isinstance(model, SignalModel):
-                raise ParameterError(
-                    f"model builder returned {type(model).__name__}, not a SignalModel"
-                )
-            if model.dims != dims:
-                raise ParameterError(
-                    f"model builder returned dims {model.dims} for rung {dims}"
-                )
-            models.append(model)
-    else:
-        raise ParameterError(
-            "a detection study needs a SignalModel or a model builder target"
-        )
+    models = []
+    for dims in config.ladder:
+        model = config.model(dims)
+        if not isinstance(model, SignalModel):
+            raise ParameterError(f"model builder returned {type(model).__name__}, not a SignalModel")
+        if model.dims != dims:
+            raise ParameterError(f"model builder returned dims {model.dims} for rung {dims}")
+        models.append(model)
 
     freq = np.zeros((len(COUNT_BIN_LABELS), len(models)))
     for entry, model in enumerate(models):
@@ -304,6 +278,16 @@ def run_detection_study(config: ExperimentConfig, threads: int = 1) -> Frequency
     )
 
 
+def _sample(values) -> np.ndarray:
+    """A 1-d array of at least 2 finite values: what a spread estimate needs."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ParameterError(f"need a 1-d sample of size >= 2, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("sample contains non-finite values")
+    return arr
+
+
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Normal-reference bandwidth 1.06 sd m^(-1/5) with the unbiased sd.
 
@@ -311,13 +295,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
         ParameterError: with fewer than 2 samples or zero spread (the
             bandwidth would degenerate to 0).
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ParameterError(
-            f"bandwidth selection needs a 1-d sample of size >= 2, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("samples contain non-finite values")
+    arr = _sample(samples)
     sd = float(arr.std(ddof=1))
     if sd == 0.0:
         raise ParameterError("all samples are equal; bandwidth would be zero")
@@ -385,13 +363,7 @@ def summarize(
         ParameterError: with fewer than 2 values, non-finite values, or a
             nonpositive reference variance.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ParameterError(
-            f"summaries need a 1-d sample of size >= 2, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("values contain non-finite entries")
+    arr = _sample(values)
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1))
     if ref_mean is None:

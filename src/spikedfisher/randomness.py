@@ -7,9 +7,20 @@ independent of thread scheduling or the order replicates are launched in.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = ["ensure_generator", "stream_generator"]
+
+
+def require_seed(value) -> int:
+    """A master seed: an integer (not a bool) in [0, 2**64), returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ParameterError(f"master seed must be a nonnegative 64-bit integer, got {value!r}")
+    return int(value)
 
 
 def ensure_generator(seed_or_rng) -> np.random.Generator:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, require_count
 from .randomness import ensure_generator
 from .spikes import SpikeSpec
 from .wachter import FisherParams
@@ -82,15 +82,25 @@ class ModelDims:
     T: int
 
     def __post_init__(self) -> None:
-        for label, value in (("p", self.p), ("n", self.n), ("T", self.T)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ParameterError(f"dimension {label} must be an integer, got {value!r}")
-            if value < 1:
-                raise ParameterError(f"dimension {label} must be positive, got {value}")
+        for label in ("p", "n", "T"):
+            require_count(getattr(self, label), f"dimension {label}", 1)
         if self.p >= self.n:
             raise ParameterError(
                 f"need p < n for an invertible noise covariance estimate, got p={self.p}, n={self.n}"
             )
+
+    @classmethod
+    def coerce(cls, value) -> ModelDims:
+        """ModelDims from itself, a (p, n, T) sequence, or a mapping with keys p, n, T."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, dict) and set(value) == {"p", "n", "T"}:
+            return cls(**value)
+        if isinstance(value, (list, tuple)) and len(value) == 3:
+            return cls(*value)
+        raise ParameterError(
+            f"dimensions must be [p, n, T] or an object with exactly the keys p, n, T, got {value!r}"
+        )
 
     @property
     def c_p(self) -> float:
@@ -122,7 +132,7 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
     Raises:
         NumericalError: if S2 is not numerically positive definite, which
-            makes the Fisher matrix undefined.
+            makes the Fisher matrix undefined, or an entry overflowed.
     """
     try:
         vals = scipy.linalg.eigh(s1, s2, eigvals_only=True)
@@ -131,7 +141,14 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
             "noise covariance estimate is numerically singular; the Fisher "
             f"matrix is undefined ({exc})"
         ) from exc
+    except ValueError as exc:
+        raise NumericalError(f"the pencil has non-finite entries ({exc})") from exc
     return vals[::-1].copy()
+
+
+def _gram_pencil(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Descending pencil eigenvalues of S1 = X X^T / T and S2 = Z Z^T / n."""
+    return pencil_eigenvalues(x @ x.T / x.shape[1], z @ z.T / z.shape[1])
 
 
 def sample_spectrum(
@@ -156,11 +173,8 @@ def sample_spectrum(
             come out significantly negative.
     """
     rng = ensure_generator(rng)
+    spec.require_fits(dims.p)
     m = spec.rank
-    if m > dims.p:
-        raise ParameterError(
-            f"total spike rank {m} exceeds the dimension p={dims.p}"
-        )
     w = dist.draw(rng, (dims.p, dims.T))
     z = dist.draw(rng, (dims.p, dims.n))
     if m > 0:
@@ -170,9 +184,7 @@ def sample_spectrum(
         basis = spec.basis_or_identity()
         block_root = (basis * scales) @ basis.T
         w = np.concatenate([block_root @ w[:m], w[m:]], axis=0)
-    s1 = w @ w.T / dims.T
-    s2 = z @ z.T / dims.n
-    vals = pencil_eigenvalues(s1, s2)
+    vals = _gram_pencil(w, z)
     tol = ZERO_RTOL * max(vals[0], 0.0)
     vals[np.abs(vals) <= tol] = 0.0
     if vals[-1] < 0.0:

@@ -25,15 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_count, require_real
 from .randomness import ensure_generator
-from .wachter import FisherParams, support_edges
+from .wachter import (
+    FisherParams,
+    critical_interval,
+    require_detached,
+    spike_value,
+    support_edges,
+)
 
 __all__ = [
     "SpikeSpec",
     "CLTConstants",
-    "LimitSampleDraw",
-    "critical_interval",
     "phi",
     "spike_limit",
     "phi_small_y_reduction",
@@ -41,7 +45,6 @@ __all__ = [
     "projection_variance",
     "draw_fluctuation_matrix",
     "sample_limit_batch",
-    "sample_limit_law",
 ]
 
 BASIS_ORTHO_TOL = 1e-12
@@ -52,8 +55,9 @@ class SpikeSpec:
     """Finite-rank spike configuration.
 
     Attributes:
-        spikes: tuple of (value, multiplicity) pairs.  Values must be
-            positive, different from 1, and listed in canonical order:
+        spikes: sequence of (value, multiplicity) pairs, stored as a
+            tuple.  Multiplicities are integers >= 1.  Values must be
+            finite, positive, different from 1, and listed in canonical order:
             all values above 1 first in strictly decreasing order, then
             all values below 1 in strictly decreasing order.  An empty
             tuple describes the unspiked null model.
@@ -66,21 +70,14 @@ class SpikeSpec:
     basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spikes, (list, tuple)):
+            raise ParameterError(f"spikes must be a list of (value, multiplicity) pairs, got {self.spikes!r}")
         cleaned = []
         for entry in self.spikes:
-            try:
-                value, mult = entry
-            except (TypeError, ValueError):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ParameterError(f"spike entry {entry!r} is not a (value, multiplicity) pair")
-            value = float(value)
-            mult = int(mult)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"spike value must be finite and positive, got {value}")
-            if value == 1.0:
-                raise ParameterError("spike value 1 is the unspiked baseline, not a spike")
-            if mult < 1:
-                raise ParameterError(f"spike multiplicity must be at least 1, got {mult}")
-            cleaned.append((value, mult))
+            value, mult = entry
+            cleaned.append((spike_value(value), require_count(mult, "spike multiplicity", 1)))
         object.__setattr__(self, "spikes", tuple(cleaned))
 
         values = [v for v, _ in cleaned]
@@ -98,15 +95,18 @@ class SpikeSpec:
                 )
 
         if self.basis is not None:
-            basis = np.array(self.basis, dtype=float)
             m = self.rank
+            try:
+                basis = np.array(self.basis, dtype=float)
+            except (TypeError, ValueError):
+                raise ParameterError("basis must be a numeric matrix with rows of equal length") from None
             if basis.shape != (m, m):
                 raise ParameterError(
                     f"basis must be {m} x {m} to match total spike multiplicity, "
                     f"got shape {basis.shape}"
                 )
-            gram_err = np.max(np.abs(basis.T @ basis - np.eye(m)))
-            if gram_err > BASIS_ORTHO_TOL:
+            gram_err = np.max(np.abs(basis.T @ basis - np.eye(m)), initial=0.0)
+            if not gram_err <= BASIS_ORTHO_TOL:
                 raise ParameterError(
                     f"basis columns are not orthonormal (max Gram deviation {gram_err:.3e}, "
                     f"tolerance {BASIS_ORTHO_TOL})"
@@ -138,6 +138,11 @@ class SpikeSpec:
         stop = start + self.multiplicities[index]
         return self.basis_or_identity()[:, start:stop]
 
+    def require_fits(self, p: int) -> None:
+        """Reject a dimension p below the total spike rank."""
+        if p < self.rank:
+            raise ParameterError(f"total spike rank {self.rank} exceeds the dimension p={p}")
+
     def packet_indices(self, p: int) -> tuple[np.ndarray, ...]:
         """0-based positions of each spike's packet in the descending spectrum.
 
@@ -146,9 +151,8 @@ class SpikeSpec:
         spikes below 1 pull theirs to the bottom, stacked from rank p
         upward in reverse spike order.
         """
+        self.require_fits(p)
         mults = self.multiplicities
-        if p < self.rank:
-            raise ParameterError(f"dimension p={p} is below the total spike rank {self.rank}")
         k0 = sum(1 for v in self.values if v > 1.0)
         out = []
         offset = 0
@@ -163,17 +167,6 @@ class SpikeSpec:
         return tuple(out)
 
 
-def critical_interval(params: FisherParams) -> tuple[float, float]:
-    """Open interval of spike values that do NOT detach from the bulk.
-
-    Centered at the pole 1/(1 - y) of the transition map, half-width
-    pole * sqrt(c + y - c y).
-    """
-    pole = 1.0 / (1.0 - params.y)
-    root = params.edge_root
-    return pole * (1.0 - root), pole * (1.0 + root)
-
-
 def phi(params: FisherParams, a: float) -> float:
     """Transition map phi(a) = a (a + c - 1) / (a - 1 - a y).
 
@@ -183,8 +176,7 @@ def phi(params: FisherParams, a: float) -> float:
     Raises:
         ParameterError: if a is not finite or sits at the pole.
     """
-    if not math.isfinite(a):
-        raise ParameterError(f"spike value must be finite, got {a}")
+    a = require_real(a, "spike value")
     denom = a - 1.0 - a * params.y
     if denom == 0.0:
         raise ParameterError(
@@ -203,10 +195,7 @@ def spike_limit(params: FisherParams, a: float) -> float:
     Raises:
         ParameterError: if a <= 0 or a == 1.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"spike value must be finite and positive, got {a}")
-    if a == 1.0:
-        raise ParameterError("spike value 1 is the unspiked baseline, not a spike")
+    a = spike_value(a)
     low, high = critical_interval(params)
     if a > high or a < low:
         return phi(params, a)
@@ -225,8 +214,7 @@ def phi_small_y_reduction(c: float, x: float) -> float:
     """
     if not (math.isfinite(c) and c > 0.0):
         raise ParameterError(f"ratio c must be finite and positive, got {c}")
-    if not math.isfinite(x):
-        raise ParameterError(f"spike value must be finite, got {x}")
+    x = require_real(x, "spike value")
     if x == 1.0:
         raise ParameterError("reduced transition map has a pole at 1")
     return x + c * x / (x - 1.0)
@@ -254,19 +242,6 @@ class CLTConstants:
     sigma_sq: float
 
 
-def _require_detached(params: FisherParams, a: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"spike value must be finite and positive, got {a}")
-    if a == 1.0:
-        raise ParameterError("spike value 1 is the unspiked baseline, not a spike")
-    low, high = critical_interval(params)
-    if low <= a <= high:
-        raise ParameterError(
-            f"spike value {a} lies in the critical interval [{low}, {high}] "
-            "(boundary included); the sqrt(p) CLT holds only for detached spikes"
-        )
-
-
 def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) -> CLTConstants:
     """CLT constants of a strictly detached spike.
 
@@ -283,7 +258,7 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
     Raises:
         ParameterError: for a non-detached spike or fourth_moment < 1.
     """
-    _require_detached(params, a)
+    a = require_detached(params, a)
     if not (math.isfinite(fourth_moment) and fourth_moment >= 1.0):
         raise ParameterError(
             f"standardized fourth moment must be at least 1, got {fourth_moment}"
@@ -348,13 +323,10 @@ def draw_fluctuation_matrix(
             giving shape (size, dim, dim).
     """
     rng = ensure_generator(rng)
-    if dim < 1:
-        raise ParameterError(f"matrix dimension must be at least 1, got {dim}")
+    require_count(dim, "matrix dimension", 1)
     consts = clt_constants(params, a, fourth_moment)
     diag_var = 2.0 * consts.theta + (fourth_moment - 3.0) * consts.omega
-    batch = 1 if size is None else int(size)
-    if batch < 1:
-        raise ParameterError(f"batch size must be at least 1, got {size}")
+    batch = 1 if size is None else require_count(size, "batch size", 1)
     out = np.zeros((batch, dim, dim))
     idx = np.arange(dim)
     out[:, idx, idx] = rng.normal(0.0, math.sqrt(diag_var), (batch, dim))
@@ -364,13 +336,6 @@ def draw_fluctuation_matrix(
         out[:, rows, cols] = upper
         out[:, cols, rows] = upper
     return out[0] if size is None else out
-
-
-@dataclass(frozen=True, eq=False)
-class LimitSampleDraw:
-    """One draw from the joint limit law, one descending array per spike."""
-
-    blocks: tuple[np.ndarray, ...]
 
 
 def sample_limit_batch(
@@ -392,11 +357,7 @@ def sample_limit_batch(
         descending.
     """
     rng = ensure_generator(rng)
-    if size < 1:
-        raise ParameterError(f"batch size must be at least 1, got {size}")
     m = spec.rank
-    if m == 0:
-        return []
     out = []
     for i, (value, mult) in enumerate(spec.spikes):
         consts = clt_constants(params, value, fourth_moment)
@@ -409,14 +370,3 @@ def sample_limit_batch(
             vals = np.linalg.eigvalsh(projected)[:, ::-1]
         out.append(np.ascontiguousarray(vals))
     return out
-
-
-def sample_limit_law(
-    rng,
-    params: FisherParams,
-    spec: SpikeSpec,
-    fourth_moment: float = 3.0,
-) -> LimitSampleDraw:
-    """Single draw from the joint limiting fluctuation law of all spikes."""
-    blocks = sample_limit_batch(rng, params, spec, fourth_moment, size=1)
-    return LimitSampleDraw(blocks=tuple(b[0] for b in blocks))

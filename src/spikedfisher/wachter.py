@@ -36,13 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import ParameterError
+from .errors import ParameterError, require_real
 
 __all__ = [
     "FisherParams",
     "SupportEdges",
     "MomentValues",
     "support_edges",
+    "critical_interval",
     "mass_at_zero",
     "density",
     "stieltjes",
@@ -95,6 +96,39 @@ def support_edges(params: FisherParams) -> SupportEdges:
     scale = 1.0 / (1.0 - params.y)
     root = params.edge_root
     return SupportEdges(lower=(scale * (1.0 - root)) ** 2, upper=(scale * (1.0 + root)) ** 2)
+
+
+def critical_interval(params: FisherParams) -> tuple[float, float]:
+    """Open interval of spike values that do NOT detach from the bulk.
+
+    Centered at the pole 1/(1 - y) of the transition map, half-width
+    pole * sqrt(c + y - c y).
+    """
+    pole = 1.0 / (1.0 - params.y)
+    root = params.edge_root
+    return pole * (1.0 - root), pole * (1.0 + root)
+
+
+def spike_value(a) -> float:
+    """The rule every spike value obeys: a finite positive real other than 1."""
+    a = require_real(a, "spike value")
+    if a <= 0.0:
+        raise ParameterError(f"spike value must be positive, got {a}")
+    if a == 1.0:
+        raise ParameterError("spike value 1 is the unspiked baseline, not a spike")
+    return a
+
+
+def require_detached(params: FisherParams, a) -> float:
+    """A spike strictly outside the closed critical interval, so it has an isolated outlier."""
+    a = spike_value(a)
+    low, high = critical_interval(params)
+    if low <= a <= high:
+        raise ParameterError(
+            f"spike value {a} lies in the critical interval [{low}, {high}] "
+            "(boundary included); it has no isolated outlier"
+        )
+    return a
 
 
 def mass_at_zero(params: FisherParams) -> float:
@@ -158,6 +192,14 @@ def _signed_radical(params: FisherParams, z: float, edges: SupportEdges) -> floa
     return root if z > edges.upper else -root
 
 
+def _numerator(params: FisherParams, z: float) -> float:
+    """c(z(1 - y) + 1 - c) + 2zy - c * radical, shared by both transforms."""
+    edges = support_edges(params)
+    _require_exterior(params, z, edges)
+    c, y = params.c, params.y
+    return c * (z * (1.0 - y) + 1.0 - c) + 2.0 * z * y - c * _signed_radical(params, z, edges)
+
+
 def stieltjes(params: FisherParams, z: float) -> float:
     """Stieltjes transform s(z) = int (x - z)^{-1} dF_{c,y}(x) for real z off support.
 
@@ -168,11 +210,8 @@ def stieltjes(params: FisherParams, z: float) -> float:
         ParameterError: if z is inside the bulk support, equals 0, or hits
             the removable singularity of the closed form at -c/y.
     """
-    edges = support_edges(params)
-    _require_exterior(params, z, edges)
+    num = _numerator(params, z)
     c, y = params.c, params.y
-    rad = _signed_radical(params, z, edges)
-    num = c * (z * (1.0 - y) + 1.0 - c) + 2.0 * z * y - c * rad
     return 1.0 / (z * c) - 1.0 / z - num / (2.0 * z * c * (c + z * y))
 
 
@@ -184,11 +223,8 @@ def companion_stieltjes(params: FisherParams, z: float) -> float:
     Same domain as `stieltjes`; the closed form has a removable singularity
     at z = -c/y, rejected exactly and inaccurate in a small neighborhood.
     """
-    edges = support_edges(params)
-    _require_exterior(params, z, edges)
+    num = _numerator(params, z)
     c, y = params.c, params.y
-    rad = _signed_radical(params, z, edges)
-    num = c * (z * (1.0 - y) + 1.0 - c) + 2.0 * z * y - c * rad
     return -num / (2.0 * z * (c + z * y))
 
 
@@ -214,13 +250,6 @@ class MomentValues:
     xx_gap_sq: float
 
 
-def _critical_band(params: FisherParams) -> tuple[float, float]:
-    # Spikes inside [pole(1-r), pole(1+r)] map onto the bulk; no outlier.
-    pole = 1.0 / (1.0 - params.y)
-    root = params.edge_root
-    return pole * (1.0 - root), pole * (1.0 + root)
-
-
 def moment_values(params: FisherParams, a: float) -> MomentValues:
     """Closed-form moments at lam = phi(a), the outlier location of spike a.
 
@@ -233,16 +262,7 @@ def moment_values(params: FisherParams, a: float) -> MomentValues:
         ParameterError: if a <= 0, a == 1, or a is not strictly outside the
             critical interval.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"spike value must be finite and positive, got {a}")
-    if a == 1.0:
-        raise ParameterError("spike value 1 is not a spike; transition map undefined")
-    low, high = _critical_band(params)
-    if low <= a <= high:
-        raise ParameterError(
-            f"spike value {a} lies in the critical interval [{low}, {high}]; "
-            "no isolated outlier exists there"
-        )
+    a = require_detached(params, a)
     c, y = params.c, params.y
     am1 = a - 1.0
     apc = a + c - 1.0

@@ -18,8 +18,9 @@ import pytest
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
+    CltConfig,
+    DetectionConfig,
     DetectorConfig,
-    ExperimentConfig,
     FisherParams,
     ModelDims,
     SpikeSpec,
@@ -36,7 +37,7 @@ from spikedfisher import (
     projection_variance,
     run_clt_study,
     run_detection_study,
-    sample_limit_law,
+    sample_limit_batch,
     sample_spectrum,
     stieltjes,
     companion_stieltjes,
@@ -64,8 +65,8 @@ LADDER = tuple(ModelDims(p=q, n=2 * q, T=5 * q) for q in (50, 100, 150, 200, 250
 
 
 def _study(dist, spec, seed):
-    config = ExperimentConfig(
-        ladder=(DIMS,), target=spec, dist=dist, replicates=1000, master_seed=seed
+    config = CltConfig(
+        dims=DIMS, spec=spec, dist=dist, replicates=1000, master_seed=seed
     )
     return run_clt_study(config)
 
@@ -92,9 +93,9 @@ def detection_tables():
         ("block", block_noise_model, SEED + 4),
         ("equicorrelated", equicorrelated_model, SEED + 5),
     ):
-        config = ExperimentConfig(
+        config = DetectionConfig(
             ladder=LADDER,
-            target=builder,
+            model=builder,
             dist=GAUSSIAN,
             replicates=1000,
             master_seed=seed,
@@ -261,9 +262,9 @@ def test_08_rotation_invariance():
         if j % 3 == 0:
             basis[0, 0] = -1.0  # sign change on a simple spike
         rotated = SpikeSpec(spikes=SPIKES, basis=basis)
-        one = sample_limit_law(ensure_generator((SEED, 80, j)), REFERENCE, base)
-        two = sample_limit_law(ensure_generator((SEED, 80, j)), REFERENCE, rotated)
-        for left, right in zip(one.blocks, two.blocks):
+        one = sample_limit_batch(ensure_generator((SEED, 80, j)), REFERENCE, base)
+        two = sample_limit_batch(ensure_generator((SEED, 80, j)), REFERENCE, rotated)
+        for left, right in zip(one, two):
             worst = max(worst, float(np.max(np.abs(left - right))))
     print(f"max eigenvalue deviation over 20 block rotations: {worst:.2e}")
     assert worst < 1e-10
@@ -279,9 +280,9 @@ def test_09_detection_frequencies(detection_tables):
 
 
 def test_10_null_size():
-    config = ExperimentConfig(
+    config = DetectionConfig(
         ladder=(DIMS,),
-        target=null_model,
+        model=null_model,
         dist=GAUSSIAN,
         replicates=500,
         master_seed=SEED + 6,

@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedfisher.cli import main
 
@@ -235,6 +238,180 @@ class TestDetectStudy:
         assert run_cli("detect-study", "--config", config, "--out-dir", out) == 0
         rows = read_csv(out / "frequency.csv")
         assert float(rows[1][1]) == 1.0  # every replicate lands in the zero bin
+
+
+CUSTOM_MODEL = {
+    "kind": "custom",
+    "mixing": [[2.0], [0.0], [1.0], [0.0]],
+    "noise_cov": np.eye(4).tolist(),
+}
+
+
+class TestConfigRejections:
+    """Each malformed config exits 2 and the message names what is wrong."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"spikes": [[20.0, 1], 5]}, "spikes"),
+            ({"spikes": [["x", 1]]}, "spikes"),
+            ({"spikes": [[20.0, 1.5]]}, "multiplicity"),
+            ({"basis": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, "basis"),
+            ({"outputs": ["plots"]}, "outputs"),
+            ({"replicates": True}, "replicates"),
+        ],
+    )
+    def test_simulate_clt(self, tmp_path, capsys, overrides, field):
+        config = write_clt_config(tmp_path / "study.json", **overrides)
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (
+                {"ladder": [[4, 10, 30]], "model": {**CUSTOM_MODEL, "mixing": [[2.0], [0.0, 1.0], [1.0], [0.0]]}},
+                "mixing",
+            ),
+            (
+                {"ladder": [[4, 10, 30]], "model": {**CUSTOM_MODEL, "mixing": [["a"], [0.0], [1.0], [0.0]]}},
+                "mixing",
+            ),
+            ({"ladder": [[1, 2, 5]], "model": {"kind": "equicorrelated"}}, "p=1"),
+            ({"model": {"kind": "equicorrelated", "rho": "high"}}, "rho"),
+            ({"model": {"kind": "block-noise", "rho": 0.2}}, "rho"),
+            ({"dn_override": True}, "dn_override"),
+            ({"ladder": []}, "ladder"),
+        ],
+    )
+    def test_detect_study(self, tmp_path, capsys, overrides, field):
+        config = write_detect_config(tmp_path / "study.json", **overrides)
+        assert run_cli("detect-study", "--config", config, "--out-dir", tmp_path / "out") == 2
+        assert field in capsys.readouterr().err
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 4), max_size=2),
+)
+
+
+def _mostly(valid):
+    """A value from `valid` seven times in eight, junk of any JSON type otherwise."""
+    return st.sampled_from(range(8)).flatmap(lambda pick: _JUNK if pick == 7 else valid)
+
+
+def _edit(args):
+    config, edit, key, junk = args
+    if edit == "drop":
+        del config[key]
+    elif edit == "extra":
+        config["palette"] = junk
+    return config
+
+
+def _config(fields):
+    """JSON objects over `fields`; one in four misses a key or carries an unknown one."""
+    return st.tuples(
+        st.fixed_dictionaries(fields),
+        st.sampled_from([None] * 6 + ["drop", "extra"]),
+        st.sampled_from(sorted(fields)),
+        _JUNK,
+    ).map(_edit)
+
+
+_SIZE = st.integers(-1, 12)
+_VALID_DIMS = st.integers(1, 8).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(p + 1, 12), st.integers(1, 12))
+)
+_DIMS = _mostly(
+    st.one_of(
+        _VALID_DIMS.map(list),
+        _VALID_DIMS.map(lambda d: dict(zip("pnT", d))),
+        st.lists(_mostly(_SIZE), min_size=3, max_size=3),
+    )
+)
+_NUMBER = _mostly(st.sampled_from([20.0, 5.0, 2.0, 1.0, 0.5, 0.2, 0.1, -1.0]))
+_MATRIX = _mostly(
+    st.one_of(
+        st.sampled_from([np.eye(n).tolist() for n in (1, 2, 3, 4)]),
+        st.lists(st.lists(_NUMBER, max_size=4), max_size=4),
+    )
+)
+_COUNT = _mostly(st.integers(-1, 4))
+_REPLICATES = _mostly(st.integers(2, 4))
+_SEED = _mostly(st.integers(0, 2**64 - 1))
+_DISTRIBUTION = _mostly(st.sampled_from(["gaussian", "rademacher"]))
+
+_CLT_CONFIG = _config(
+    {
+        "dims": _DIMS,
+        "spikes": _mostly(
+            st.one_of(
+                st.sampled_from(
+                    [[[20.0, 1]], [[20.0, 1], [0.1, 1]], [[5.0, 2], [0.2, 1]], [[0.1, 1]]]
+                ),
+                st.lists(_mostly(st.tuples(_NUMBER, _COUNT).map(list)), max_size=3),
+            )
+        ),
+        "basis": st.one_of(st.none(), _MATRIX),
+        "distribution": _DISTRIBUTION,
+        "replicates": _REPLICATES,
+        "seed": _SEED,
+        "kde_points": _mostly(st.integers(2, 12)),
+        "outputs": _mostly(st.sampled_from([[], ["summary"], ["kde"], ["summary", "kde"]])),
+    }
+)
+_DETECT_CONFIG = _config(
+    {
+        "ladder": _mostly(st.lists(_DIMS, min_size=1, max_size=2)),
+        "model": _mostly(
+            st.one_of(
+                st.sampled_from([{"kind": "block-noise"}, {"kind": "null"}]),
+                st.fixed_dictionaries({"kind": st.just("equicorrelated")}, optional={"rho": _NUMBER}),
+                st.fixed_dictionaries(
+                    {"kind": st.just("custom"), "mixing": _MATRIX, "noise_cov": _MATRIX}
+                ),
+                st.fixed_dictionaries(
+                    {"kind": _JUNK},
+                    optional={"rho": _NUMBER, "mixing": _MATRIX, "noise_cov": _MATRIX},
+                ),
+            )
+        ),
+        "distribution": _DISTRIBUTION,
+        "replicates": _REPLICATES,
+        "seed": _SEED,
+        "dn_override": st.one_of(st.none(), _NUMBER),
+    }
+)
+
+
+class TestConfigProperty:
+    """Any JSON config ends in exit 0, 2 or 3, never in a traceback."""
+
+    @staticmethod
+    def run_config(command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            return run_cli(command, "--config", path, "--out-dir", Path(tmp) / "out")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_CLT_CONFIG)
+    def test_simulate_clt(self, config):
+        assert self.run_config("simulate-clt", config) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_DETECT_CONFIG)
+    def test_detect_study(self, config):
+        assert self.run_config("detect-study", config) in (0, 2, 3)
 
 
 class TestDetect:

@@ -8,9 +8,10 @@ import pytest
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
+    CltConfig,
+    DetectionConfig,
     DetectorConfig,
     EntryDistribution,
-    ExperimentConfig,
     FrequencyTable,
     ModelDims,
     ParameterError,
@@ -29,36 +30,50 @@ from spikedfisher import (
 
 SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
 DIMS = ModelDims(p=60, n=120, T=300)
+LADDER = (ModelDims(p=20, n=40, T=100), ModelDims(p=30, n=60, T=150))
 
 
 def small_clt_config(**overrides):
     base = dict(
-        ladder=(DIMS,),
-        target=SPEC,
+        dims=DIMS,
+        spec=SPEC,
         dist=GAUSSIAN,
         replicates=24,
         master_seed=7,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return CltConfig(**base)
 
 
-class TestExperimentConfig:
+def small_detection_config(**overrides):
+    base = dict(
+        ladder=LADDER,
+        model=block_noise_model,
+        dist=GAUSSIAN,
+        replicates=16,
+        master_seed=3,
+    )
+    base.update(overrides)
+    return DetectionConfig(**base)
+
+
+class TestStudyConfigs:
     def test_accepts_tuple_dims(self):
-        config = ExperimentConfig(
-            ladder=((60, 120, 300),),
-            target=SPEC,
-            dist=GAUSSIAN,
-            replicates=5,
-            master_seed=1,
-        )
-        assert config.ladder == (DIMS,)
+        assert small_clt_config(dims=(60, 120, 300)).dims == DIMS
+        config = small_detection_config(ladder=[(60, 120, 300), {"p": 60, "n": 120, "T": 300}])
+        assert config.ladder == (DIMS, DIMS)
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ParameterError):
-            small_clt_config(ladder=())
+            small_detection_config(ladder=())
         with pytest.raises(ParameterError):
-            small_clt_config(replicates=0)
+            small_detection_config(ladder=((60, 120),))
+        with pytest.raises(ParameterError):
+            small_clt_config(dims=(60, 50, 300))
+        with pytest.raises(ParameterError):
+            small_clt_config(replicates=1)  # summaries need spread
+        with pytest.raises(ParameterError):
+            small_detection_config(replicates=0)
         with pytest.raises(ParameterError):
             small_clt_config(master_seed=-1)
         with pytest.raises(ParameterError):
@@ -66,7 +81,15 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             small_clt_config(dist="gaussian")
         with pytest.raises(ParameterError):
-            small_clt_config(outputs=("summary", "plots"))
+            small_detection_config(detector=0.5)
+        with pytest.raises(ParameterError):
+            small_detection_config(model=SPEC)
+        # One integer rule for replicates and seeds: True is not 1.
+        for field in ("replicates", "master_seed"):
+            with pytest.raises(ParameterError):
+                small_clt_config(**{field: True})
+            with pytest.raises(ParameterError):
+                small_detection_config(**{field: True})
 
 
 class TestCltStudy:
@@ -75,7 +98,6 @@ class TestCltStudy:
         assert result.dims == DIMS
         assert [e.shape for e in result.empirical] == [(24, 1), (24, 2), (24, 1)]
         assert [l.shape for l in result.limit] == [(24, 1), (24, 2), (24, 1)]
-        assert [r.index for r in result.records] == list(range(24))
         assert len(result.constants) == 3
         assert result.constants[0].lam == pytest.approx(128.0 / 3.0, rel=1e-12)
 
@@ -101,14 +123,14 @@ class TestCltStudy:
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ParameterError):
-            run_clt_study(small_clt_config(target=null_model(DIMS)))
+            small_clt_config(spec=null_model(DIMS))
         with pytest.raises(ParameterError):
-            run_clt_study(small_clt_config(target=SpikeSpec()))
+            small_clt_config(spec=SpikeSpec())
         with pytest.raises(ParameterError):
-            run_clt_study(small_clt_config(ladder=(DIMS, DIMS)))
+            small_clt_config(dims=(3, 120, 300))  # spike rank 4 exceeds p = 3
         # Spike 2.0 sits inside the critical interval at (c, y) = (0.2, 0.5).
         with pytest.raises(ParameterError):
-            run_clt_study(small_clt_config(target=SpikeSpec(spikes=((2.0, 1),))))
+            run_clt_study(small_clt_config(spec=SpikeSpec(spikes=((2.0, 1),))))
 
     def test_rademacher_study_runs(self):
         result = run_clt_study(small_clt_config(dist=RADEMACHER, replicates=6))
@@ -117,18 +139,7 @@ class TestCltStudy:
 
 
 class TestDetectionStudy:
-    LADDER = (ModelDims(p=20, n=40, T=100), ModelDims(p=30, n=60, T=150))
-
-    def config(self, **overrides):
-        base = dict(
-            ladder=self.LADDER,
-            target=block_noise_model,
-            dist=GAUSSIAN,
-            replicates=16,
-            master_seed=3,
-        )
-        base.update(overrides)
-        return ExperimentConfig(**base)
+    config = staticmethod(small_detection_config)
 
     def test_table_shape_and_sums(self):
         table = run_detection_study(self.config())
@@ -143,25 +154,25 @@ class TestDetectionStudy:
         np.testing.assert_array_equal(one.frequencies, four.frequencies)
 
     def test_fixed_model_target(self):
-        dims = self.LADDER[0]
-        table = run_detection_study(
-            self.config(ladder=(dims,), target=null_model(dims))
-        )
+        # A fixed SignalModel runs through a builder that returns it.
+        fixed = null_model(LADDER[0])
+        table = run_detection_study(self.config(ladder=LADDER[:1], model=lambda dims: fixed))
         assert table.frequencies.shape == (6, 1)
         # Pure noise: mass concentrates on the zero bin.
         assert table.frequencies[0, 0] > 0.5
 
     def test_fixed_model_must_match_ladder(self):
+        fixed = null_model(LADDER[0])
         with pytest.raises(ParameterError):
-            run_detection_study(self.config(target=null_model(self.LADDER[0])))
+            run_detection_study(self.config(model=lambda dims: fixed))
 
     def test_builder_must_return_signal_model(self):
         with pytest.raises(ParameterError):
-            run_detection_study(self.config(target=lambda dims: dims))
+            run_detection_study(self.config(model=lambda dims: dims))
 
     def test_spike_spec_target_rejected(self):
         with pytest.raises(ParameterError):
-            run_detection_study(self.config(target=SPEC))
+            self.config(model=SPEC)
 
 
 class TestFrequencyTable:

@@ -17,7 +17,6 @@ from spikedfisher import (
     phi_small_y_reduction,
     projection_variance,
     sample_limit_batch,
-    sample_limit_law,
     spike_limit,
     support_edges,
 )
@@ -267,10 +266,6 @@ class TestLimitSampler:
         blocks = sample_limit_batch(7, REFERENCE, self.SPEC, size=11)
         assert [b.shape for b in blocks] == [(11, 1), (11, 2), (11, 1)]
         assert np.all(blocks[1][:, 0] >= blocks[1][:, 1])
-
-    def test_single_draw(self):
-        draw = sample_limit_law(7, REFERENCE, self.SPEC)
-        assert [b.shape for b in draw.blocks] == [(1,), (2,), (1,)]
 
     def test_determinism(self):
         one = sample_limit_batch(42, REFERENCE, self.SPEC, size=6)
