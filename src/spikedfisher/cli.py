@@ -9,8 +9,11 @@ Four subcommands:
 
 All numeric CSV output uses 17 significant digits, '.' decimals, ','
 separators, and a header row, so repeated runs with the same config and
-seed are byte-identical regardless of thread count.  Timestamps live only
-in manifest.json.  Exit codes: 0 success, 2 invalid parameters or config,
+seed are byte-identical regardless of thread count: BLAS runs on one
+thread for the length of a command, so `--threads` is the only
+parallelism and the machine's BLAS setting does not reach the bytes
+(manifest.json records it as `blas_threads`).  Timestamps live only in
+manifest.json.  Exit codes: 0 success, 2 invalid parameters or config,
 3 numerical failure.
 
 A study's JSON config is read through its subcommand's field table: each
@@ -54,7 +57,7 @@ from .experiments import (
     summarize,
 )
 from .randomness import require_seed
-from .sampling import EntryDistribution, ModelDims
+from .sampling import EntryDistribution, ModelDims, _blas_threads, _one_blas_thread
 from .spikes import SpikeSpec, projection_variance
 from .wachter import FisherParams, critical_interval, density, mass_at_zero, support_edges
 
@@ -98,6 +101,7 @@ def _write_manifest(
             ),
             "seed": seed,
             "threads": threads,
+            "blas_threads": _blas_threads(),
             "config": config,
         },
     )
@@ -435,6 +439,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def cmd_detect(args) -> int:
+    require_count(args.top, "--top", 0)
     x = _load_matrix(args.signal)
     z = _load_matrix(args.noise)
     config = DetectorConfig(shift=args.dn_override)
@@ -527,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,12 +6,16 @@ fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
 counter along a dimension ladder.  Replicates are embarrassingly parallel;
 each one derives its own counter-based stream from (master_seed, stream
 tag, replicate index), so results are bit-identical for any thread count
-and any scheduling order.
+and any scheduling order.  While the replicates run, BLAS runs on one
+thread (`sampling._one_blas_thread`): worker threads, at most one per
+core, are the only parallelism, and the bits do not depend on the
+machine's BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
@@ -22,7 +26,13 @@ from scipy import stats as scipy_stats
 from .detect import DetectorConfig, SignalModel, detect
 from .errors import ParameterError, require_count
 from .randomness import require_seed, stream_generator
-from .sampling import EntryDistribution, ModelDims, sample_spectrum, spectrum_packets
+from .sampling import (
+    EntryDistribution,
+    ModelDims,
+    _one_blas_thread,
+    sample_spectrum,
+    spectrum_packets,
+)
 from .spikes import CLTConstants, SpikeSpec, clt_constants, sample_limit_batch
 
 __all__ = [
@@ -172,12 +182,18 @@ class FrequencyTable:
 
 
 def _map_indexed(worker, count: int, threads: int) -> list:
-    """Run worker(0..count-1), results in index order regardless of threads."""
+    """Run worker(0..count-1), results in index order regardless of threads.
+
+    BLAS runs on one thread meanwhile, and at most one worker starts per
+    core: a larger `threads` is accepted and capped.
+    """
     require_count(threads, "thread count", 1)
-    if threads == 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
+    workers = min(threads, count, os.cpu_count() or 1)
+    with _one_blas_thread():
+        if workers <= 1:
+            return [worker(i) for i in range(count)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, range(count)))
 
 
 def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:

@@ -10,13 +10,23 @@ the eigenvalues of the pencil (S1, S2), i.e. of the Fisher matrix
 S2^{-1} S1.  The pencil is reduced through a Cholesky factorization of S2
 (LAPACK's generalized symmetric-definite driver), which is both faster and
 numerically cleaner than forming the non-symmetric product.
+
+BLAS threading changes the rounding of both the Grams and the pencil, so
+`_one_blas_thread` runs BLAS on one thread while a command or a replicate
+loop is in progress; replicates parallelize through worker threads instead.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 from .errors import NumericalError, ParameterError, require_count
@@ -144,6 +154,66 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     except ValueError as exc:
         raise NumericalError(f"the pencil has non-finite entries ({exc})") from exc
     return vals[::-1].copy()
+
+
+# (package, library glob beside the package, symbol suffix) of each bundled
+# OpenBLAS: numpy's 64-bit-integer copy runs the Grams, scipy's the pencil.
+_OPENBLAS_COPIES = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+)
+
+
+def _blas_control(package, pattern: str, suffix: str):
+    """(get, set) thread-count functions of one bundled OpenBLAS, or None.
+
+    None when the library or a symbol is missing (another BLAS build).
+    `ctypes.CDLL` returns the handle the package already loaded.
+    """
+    site = Path(package.__file__).resolve().parent.parent
+    paths = sorted(glob.glob(str(site / pattern)))
+    try:
+        lib = ctypes.CDLL(paths[0])
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _blas_controls() -> tuple:
+    """The controls of the OpenBLAS copies found, resolved on first use."""
+    found = (_blas_control(*copy) for copy in _OPENBLAS_COPIES)
+    return tuple(control for control in found if control is not None)
+
+
+def _blas_threads() -> int | None:
+    """Threads both OpenBLAS copies run on now; None unless both were found and agree."""
+    controls = _blas_controls()
+    counts = {get() for get, _ in controls}
+    return counts.pop() if len(controls) == len(_OPENBLAS_COPIES) and len(counts) == 1 else None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS copy found on one thread, restoring the counts on exit.
+
+    Enter it once, from the thread that starts the workers: a save and
+    restore per replicate would race with replicates still in BLAS on
+    other threads.  Nested entries save and restore 1.
+    """
+    controls = _blas_controls()
+    saved = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def _gram_pencil(x: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_count, require_real
+from .errors import NumericalError, ParameterError, require_count, require_real
 from .randomness import ensure_generator
 from .wachter import (
     FisherParams,
@@ -257,6 +257,7 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
 
     Raises:
         ParameterError: for a non-detached spike or fourth_moment < 1.
+        NumericalError: for a spike so large that the constants overflow.
     """
     a = require_detached(params, a)
     if not (math.isfinite(fourth_moment) and fourth_moment >= 1.0):
@@ -264,12 +265,19 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
             f"standardized fourth moment must be at least 1, got {fourth_moment}"
         )
     c, y = params.c, params.y
-    dd = a * a * (y - 1.0) + 2.0 * a + c - 1.0
-    lam = phi(params, a)
-    delta = (1.0 - a - c) * (1.0 + a * (y - 1.0)) ** 2 / ((a - 1.0) * dd)
-    theta = a * a * (a + c - 1.0) ** 2 * (c * y - c - y) / dd
-    omega = a * a * (a + c - 1.0) ** 2 * (c + y) / (a - 1.0) ** 2
-    sigma_sq = (2.0 * theta + (fourth_moment - 3.0) * omega) / (delta * delta)
+    try:
+        dd = a * a * (y - 1.0) + 2.0 * a + c - 1.0
+        lam = phi(params, a)
+        delta = (1.0 - a - c) * (1.0 + a * (y - 1.0)) ** 2 / ((a - 1.0) * dd)
+        theta = a * a * (a + c - 1.0) ** 2 * (c * y - c - y) / dd
+        omega = a * a * (a + c - 1.0) ** 2 * (c + y) / (a - 1.0) ** 2
+        sigma_sq = (2.0 * theta + (fourth_moment - 3.0) * omega) / (delta * delta)
+        if not all(map(math.isfinite, (lam, delta, theta, omega, sigma_sq))):
+            raise OverflowError
+    except OverflowError:
+        raise NumericalError(
+            f"spike value {a!r} is too large for the CLT constants: they overflow the float range"
+        ) from None
     return CLTConstants(lam=lam, delta=delta, theta=theta, omega=omega, sigma_sq=sigma_sq)
 
 

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikedfisher
+from spikedfisher import sampling
 from spikedfisher.cli import main
 
 
@@ -120,6 +125,7 @@ class TestSimulateClt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["threads"] == 1
+        assert manifest["blas_threads"] == (1 if len(sampling._blas_controls()) == 2 else None)
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         config = write_clt_config(tmp_path / "study.json")
@@ -152,6 +158,12 @@ class TestSimulateClt:
             if name == "manifest.json":
                 continue
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_overflowing_spike_exits_three(self, tmp_path, capsys):
+        config = write_clt_config(tmp_path / "study.json", spikes=[[1e160, 1]])
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "spike value 1e+160 is too large for the CLT constants" in err
 
     def test_violations_are_enumerated(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -484,12 +496,73 @@ class TestDetect:
         assert run_cli("detect", "--signal", xpath, "--noise", zpath) == 3
         assert "numerical error:" in capsys.readouterr().err
 
+    def test_negative_top_exits_two(self, tmp_path, capsys):
+        xpath, zpath = self.make_records(tmp_path)
+        assert run_cli("detect", "--signal", xpath, "--noise", zpath, "--top", -38) == 2
+        captured = capsys.readouterr()
+        assert "--top" in captured.err
+        assert captured.out == ""
+
     def test_unsupported_format_exits_two(self, tmp_path, capsys):
         xpath, zpath = self.make_records(tmp_path)
         weird = tmp_path / "x.parquet"
         weird.write_bytes(b"\x00")
         assert run_cli("detect", "--signal", weird, "--noise", zpath) == 2
         assert "unsupported records format" in capsys.readouterr().err
+
+
+class TestBlasDeterminism:
+    """Output bytes do not depend on the BLAS thread setting of the machine.
+
+    Sizes are large enough that OpenBLAS splits its work over threads when
+    allowed to, which changes the rounding unless the command pins it.
+    """
+
+    @staticmethod
+    def run_all(tmp_path, blas, inputs):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        src = str(Path(spikedfisher.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"blas-{blas}"
+        out.mkdir()
+        commands = [
+            ["simulate-clt", "--config", inputs["config"], "--out-dir", "clt", "--threads", "2"],
+            ["detect", "--signal", inputs["x"], "--noise", inputs["z"], "--out-dir", "detect"],
+        ]
+        files = {}
+        for i, command in enumerate(commands):
+            done = subprocess.run(
+                [sys.executable, "-m", "spikedfisher.cli", *map(str, command)],
+                cwd=out, env=env, capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            files[f"stdout{i}"] = done.stdout
+        for path in sorted(out.rglob("*.*")):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["created_utc"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(out))] = data
+        return files
+
+    def test_bytes_independent_of_openblas_threads(self, tmp_path):
+        config = write_clt_config(
+            tmp_path / "study.json", dims=[200, 400, 1000], replicates=10, kde_points=21
+        )
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((250, 1250))
+        x[:2] *= 3.0
+        np.save(tmp_path / "x.npy", x)
+        np.save(tmp_path / "z.npy", rng.standard_normal((250, 500)))
+        inputs = {"config": config, "x": tmp_path / "x.npy", "z": tmp_path / "z.npy"}
+        reference = self.run_all(tmp_path, None, inputs)
+        assert len(reference) == 9
+        for blas in ("1", "2"):
+            assert self.run_all(tmp_path, blas, inputs) == reference, f"OPENBLAS_NUM_THREADS={blas}"
 
 
 class TestParser:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spikedfisher import experiments, sampling
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
@@ -173,6 +174,54 @@ class TestDetectionStudy:
     def test_spike_spec_target_rejected(self):
         with pytest.raises(ParameterError):
             self.config(model=SPEC)
+
+
+class TestMapIndexed:
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs inline."""
+
+        sizes: list = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(self.RecordingPool, "sizes", [])
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.RecordingPool)
+        return self.RecordingPool
+
+    @pytest.mark.parametrize("cores, count, workers", [(4, 10, 4), (16, 3, 3)])
+    def test_caps_workers_at_cores_and_count(self, monkeypatch, pool, cores, count, workers):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        squares = experiments._map_indexed(lambda i: i * i, count, 10**6)
+        assert squares == [i * i for i in range(count)]
+        assert pool.sizes == [workers]
+
+    @pytest.mark.parametrize("cores", [1, None])
+    def test_one_core_runs_inline(self, monkeypatch, pool, cores):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        assert experiments._map_indexed(lambda i: -i, 5, 10**6) == [0, -1, -2, -3, -4]
+        assert pool.sizes == []
+
+    def test_thread_count_still_checked(self):
+        for threads in (0, -1, 2.0, True):
+            with pytest.raises(ParameterError, match="thread count"):
+                experiments._map_indexed(lambda i: i, 3, threads)
+
+    def test_blas_pinned_while_workers_run(self):
+        pinned = 1 if len(sampling._blas_controls()) == 2 else None
+        seen = experiments._map_indexed(lambda i: sampling._blas_threads(), 4, 2)
+        assert seen == [pinned] * 4
 
 
 class TestFrequencyTable:

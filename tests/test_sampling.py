@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from spikedfisher import sampling
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
@@ -145,6 +146,31 @@ class TestPencil:
         ones = np.ones((5, 5))
         with pytest.raises(NumericalError):
             pencil_eigenvalues(np.eye(5), ones)
+
+
+class TestOneBlasThread:
+    def test_pins_nests_and_restores(self):
+        controls = sampling._blas_controls()
+        before = [get() for get, _ in controls]
+        with sampling._one_blas_thread():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            with sampling._one_blas_thread():
+                assert [get() for get, _ in controls] == [1] * len(controls)
+            assert [get() for get, _ in controls] == [1] * len(controls)
+        assert [get() for get, _ in controls] == before
+
+    def test_restores_after_an_error(self):
+        controls = sampling._blas_controls()
+        before = [get() for get, _ in controls]
+        with pytest.raises(RuntimeError, match="inside the pin"):
+            with sampling._one_blas_thread():
+                raise RuntimeError("inside the pin")
+        assert [get() for get, _ in controls] == before
+
+    def test_missing_library_or_symbol_is_skipped(self):
+        numpy_copy = "numpy.libs/libscipy_openblas64_*.so"
+        assert sampling._blas_control(np, "no-such-dir/libnothing*.so", "") is None
+        assert sampling._blas_control(np, numpy_copy, "_no_such_suffix") is None
 
 
 class TestPackets:

@@ -1,12 +1,14 @@
 """Transition map, CLT constants, and the limit-law sampler."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spikedfisher import (
     FisherParams,
+    NumericalError,
     ParameterError,
     SpikeSpec,
     clt_constants,
@@ -220,6 +222,13 @@ class TestCLTConstants:
     def test_rejects_sub_unit_fourth_moment(self):
         with pytest.raises(ParameterError):
             clt_constants(REFERENCE, 20.0, 0.5)
+
+    @pytest.mark.parametrize("a", [1e80, 1e160])
+    def test_overflow_names_the_spike(self, a):
+        # 1e80 overflows silently to inf, 1e160 raises inside a power.
+        with pytest.raises(NumericalError, match=re.escape(f"spike value {a!r} is too large")):
+            clt_constants(REFERENCE, a)
+        assert math.isfinite(clt_constants(REFERENCE, 1e40).sigma_sq)
 
     def test_projection_variance_coordinate_matches_sigma_sq(self):
         direction = np.array([0.0, 1.0, 0.0])
