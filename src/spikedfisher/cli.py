@@ -65,6 +65,8 @@ __all__ = ["main", "build_parser"]
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
@@ -342,9 +344,8 @@ def cmd_simulate_clt(args) -> int:
         for i, (_, mult) in enumerate(spikes)
         for j in range(mult)
     ]
-    blocks = result.empirical + result.limit
-    rows = ([rep, *(v for block in blocks for v in block[rep])] for rep in range(config.replicates))
-    _write_csv(out / "replicates.csv", header, rows)
+    table = np.hstack(result.empirical + result.limit).tolist()
+    _write_csv(out / "replicates.csv", header, ([rep, *row] for rep, row in enumerate(table)))
     written = ["replicates.csv"]
 
     if "kde" in fields["outputs"]:
@@ -353,26 +354,28 @@ def cmd_simulate_clt(args) -> int:
             if mult == 1:
                 grid = _kde_grid(np.concatenate([emp[:, 0], lim[:, 0]]), kde_points)
                 name = f"kde_spike{i + 1}.csv"
+                table = np.column_stack([grid, kde_1d(emp[:, 0], grid), kde_1d(lim[:, 0], grid)])
                 _write_csv(
-                    out / name,
-                    ["value", "empirical_density", "limit_density"],
-                    zip(grid, kde_1d(emp[:, 0], grid), kde_1d(lim[:, 0], grid)),
+                    out / name, ["value", "empirical_density", "limit_density"], table.tolist()
                 )
                 written.append(name)
             elif mult == 2:
                 grid_x = _kde_grid(np.concatenate([emp[:, 0], lim[:, 0]]), kde_points)
                 grid_y = _kde_grid(np.concatenate([emp[:, 1], lim[:, 1]]), kde_points)
-                emp_surface = kde_2d(emp, grid_x, grid_y)
-                lim_surface = kde_2d(lim, grid_x, grid_y)
+                # Rows run over grid_x, then grid_y: the C order of the surfaces.
+                table = np.column_stack(
+                    [
+                        np.repeat(grid_x, grid_y.size),
+                        np.tile(grid_y, grid_x.size),
+                        kde_2d(emp, grid_x, grid_y).ravel(),
+                        kde_2d(lim, grid_x, grid_y).ravel(),
+                    ]
+                )
                 name = f"kde2d_spike{i + 1}.csv"
                 _write_csv(
                     out / name,
                     ["x1", "x2", "empirical_density", "limit_density"],
-                    (
-                        (gx, gy, emp_surface[ix, iy], lim_surface[ix, iy])
-                        for ix, gx in enumerate(grid_x)
-                        for iy, gy in enumerate(grid_y)
-                    ),
+                    table.tolist(),
                 )
                 written.append(name)
             # Packets of multiplicity > 2 are summarized but not gridded.

@@ -1,15 +1,23 @@
 """Finite-sample simulation of spiked Fisher spectra.
 
-One replicate draws two independent data matrices with iid standardized
-entries, W of shape (p, T) and Z of shape (p, n), forms
+One replicate is a draw of
 
     S1 = X X^T / T  with  X = Sigma^{1/2} W,      S2 = Z Z^T / n,
 
-where Sigma is the identity outside the M x M spiked block, and returns
-the eigenvalues of the pencil (S1, S2), i.e. of the Fisher matrix
-S2^{-1} S1.  The pencil is reduced through a Cholesky factorization of S2
-(LAPACK's generalized symmetric-definite driver), which is both faster and
-numerically cleaner than forming the non-symmetric product.
+for W of shape (p, T) and Z of shape (p, n) with iid standardized entries,
+where Sigma is the identity outside the M x M spiked block; the result is
+the spectrum of the pencil (S1, S2), i.e. of the Fisher matrix S2^{-1} S1.
+Two paths give it, each with its own stream order:
+
+* Rademacher entries (the data path) draw W, then Z, form both Grams and
+  solve the pencil through LAPACK's generalized symmetric-definite driver.
+* Gaussian entries (the Bartlett path) use that W W^T and Z Z^T are
+  Wishart: their lower-triangular Bartlett factors L1 and L2 have the same
+  law, and L2 is already the Cholesky factor of the noise Gram.  The
+  stream gives L1 (or W itself when T < p), then L2, each as its
+  below-diagonal normals in row-major order followed by the p chi-square
+  diagonal; the spectrum is that of B B^T n/T with B = L2^{-1} Sigma^{1/2} L1.
+  This is exact in law for Gaussian entries only.
 
 BLAS threading changes the rounding of both the Grams and the pencil, so
 `_one_blas_thread` runs BLAS on one thread while a command or a replicate
@@ -221,6 +229,45 @@ def _gram_pencil(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return pencil_eigenvalues(x @ x.T / x.shape[1], z @ z.T / z.shape[1])
 
 
+def _wishart_factor(rng: np.random.Generator, p: int, dof: int) -> np.ndarray:
+    """A p x k matrix F with F F^T distributed as W W^T for a p x dof normal W.
+
+    For dof >= p, F is the lower-triangular Bartlett factor: its
+    p(p-1)/2 below-diagonal entries are standard normals drawn in
+    row-major order, then its diagonal holds the square roots of p
+    chi-squares with dof - i degrees of freedom (i = 0..p-1).  For
+    dof < p it is the p x dof normal draw itself.
+    """
+    if dof < p:
+        return rng.standard_normal((p, dof))
+    factor = np.zeros((p, p))
+    # A boolean mask fills in row-major order, the order of np.tril_indices(p, -1).
+    factor[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
+    np.fill_diagonal(factor, np.sqrt(rng.chisquare(dof - np.arange(p))))
+    return factor
+
+
+def _spiked(x: np.ndarray, spec: SpikeSpec) -> np.ndarray:
+    """Sigma^{1/2} x: the spiked block U diag(sqrt(a_i)) U^T on the first M rows."""
+    m = spec.rank
+    if m == 0:
+        return x
+    scales = np.repeat(np.sqrt(np.asarray(spec.values)), np.asarray(spec.multiplicities))
+    basis = spec.basis_or_identity()
+    block_root = (basis * scales) @ basis.T
+    return np.concatenate([block_root @ x[:m], x[m:]], axis=0)
+
+
+def _bartlett_spectrum(x: np.ndarray, l2: np.ndarray, dims: ModelDims) -> np.ndarray:
+    """Descending eigenvalues of B B^T n/T with B = L2^{-1} X (lower-triangular L2)."""
+    try:
+        b = scipy.linalg.solve_triangular(l2, x, lower=True)
+        vals = scipy.linalg.eigvalsh(b @ b.T)
+    except ValueError as exc:
+        raise NumericalError(f"the whitened signal has non-finite entries ({exc})") from exc
+    return vals[::-1] * (dims.n / dims.T)
+
+
 def sample_spectrum(
     rng,
     dims: ModelDims,
@@ -229,9 +276,11 @@ def sample_spectrum(
 ) -> SpectrumSample:
     """Simulate one spiked Fisher matrix and return its spectrum.
 
-    The signal matrix draws W first, then the noise matrix Z, from the
-    same stream; Sigma^{1/2} touches only the first M rows of W, with the
-    spiked block U diag(sqrt(a_i)) U^T in the leading coordinates.
+    Gaussian entries take the Bartlett path: the stream gives the signal
+    factor (T degrees of freedom), then the noise factor (n), as in
+    `_wishart_factor`.  Rademacher entries take the data path: the stream
+    gives W (p x T), then Z (p x n).  Either way Sigma^{1/2} touches only
+    the first M rows of the signal matrix (`_spiked`).
 
     Args:
         rng: Generator or seed accepted by `ensure_generator`.
@@ -239,22 +288,20 @@ def sample_spectrum(
     Raises:
         ParameterError: if the spike rank exceeds p.
         NumericalError: if the simulated S2 is numerically singular (never
-            the case for continuous entries when n >= p) or eigenvalues
-            come out significantly negative.
+            the case for continuous entries when n >= p), an entry is not
+            finite, or eigenvalues come out significantly negative.
     """
     rng = ensure_generator(rng)
     spec.require_fits(dims.p)
-    m = spec.rank
-    w = dist.draw(rng, (dims.p, dims.T))
-    z = dist.draw(rng, (dims.p, dims.n))
-    if m > 0:
-        scales = np.repeat(
-            np.sqrt(np.asarray(spec.values)), np.asarray(spec.multiplicities)
-        )
-        basis = spec.basis_or_identity()
-        block_root = (basis * scales) @ basis.T
-        w = np.concatenate([block_root @ w[:m], w[m:]], axis=0)
-    vals = _gram_pencil(w, z)
+    if dist == GAUSSIAN:
+        x = _spiked(_wishart_factor(rng, dims.p, dims.T), spec)
+        vals = _bartlett_spectrum(x, _wishart_factor(rng, dims.p, dims.n), dims)
+    else:
+        w = dist.draw(rng, (dims.p, dims.T))
+        z = dist.draw(rng, (dims.p, dims.n))
+        vals = _gram_pencil(_spiked(w, spec), z)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("the spectrum overflowed; a spike value is too large")
     tol = ZERO_RTOL * max(vals[0], 0.0)
     vals[np.abs(vals) <= tol] = 0.0
     if vals[-1] < 0.0:

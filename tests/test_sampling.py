@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from spikedfisher import sampling
 from spikedfisher import (
@@ -21,6 +21,7 @@ from spikedfisher import (
     pencil_eigenvalues,
     sample_spectrum,
     spectrum_packets,
+    stream_generator,
     support_edges,
 )
 
@@ -111,6 +112,103 @@ class TestSampleSpectrum:
         sample = sample_spectrum(8, self.DIMS, REFERENCE_SPEC, RADEMACHER)
         assert np.all(np.diff(sample.eigenvalues) <= 0.0)
         assert np.all(sample.eigenvalues >= 0.0)
+
+
+def block_root(spec: SpikeSpec) -> np.ndarray:
+    """Sigma^{1/2} on the spiked block, U diag(sqrt(a)) U^T (test-local)."""
+    scales = np.sqrt(np.repeat(spec.values, spec.multiplicities))
+    basis = spec.basis_or_identity()
+    return (basis * scales) @ basis.T
+
+
+class TestWishartFactor:
+    @pytest.mark.parametrize("dof", [7, 12])
+    def test_triangular_factor(self, dof):
+        factor = sampling._wishart_factor(ensure_generator(4), 7, dof)
+        assert factor.shape == (7, 7)
+        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
+        assert np.all(np.diag(factor) > 0.0)
+
+    def test_dense_draw_below_dimension(self):
+        factor = sampling._wishart_factor(ensure_generator(4), 7, 5)
+        np.testing.assert_array_equal(factor, ensure_generator(4).standard_normal((7, 5)))
+
+    def test_stream_order(self):
+        # Below-diagonal normals in row-major order first, then the chi-squares.
+        p, dof = 6, 9
+        factor = sampling._wishart_factor(ensure_generator(4), p, dof)
+        rng = ensure_generator(4)
+        below = rng.standard_normal(p * (p - 1) // 2)
+        diagonal = np.sqrt(rng.chisquare(dof - np.arange(p)))
+        np.testing.assert_array_equal(factor[np.tril_indices(p, -1)], below)
+        np.testing.assert_array_equal(np.diag(factor), diagonal)
+
+    def test_gram_moments(self):
+        # E[L L^T] = dof I; Var[(L L^T)_ij] is dof off the diagonal and 2 dof on it.
+        p, dof, reps = 5, 8, 4000
+        rng = ensure_generator(6)
+        factors = np.array([sampling._wishart_factor(rng, p, dof) for _ in range(reps)])
+        grams = factors @ factors.transpose(0, 2, 1)
+        se = math.sqrt(2.0 * dof / reps)
+        assert np.max(np.abs(grams.mean(axis=0) - dof * np.eye(p))) < 5.0 * se
+        variance = grams.var(axis=0) / (dof * (1.0 + np.eye(p)))
+        assert np.max(np.abs(variance - 1.0)) < 0.15
+
+
+class TestSamplePaths:
+    DIMS = ModelDims(p=20, n=40, T=60)
+    SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
+
+    def test_bartlett_path_is_the_whitened_pencil(self):
+        # Replay the two factors and solve the pencil (X X^T / T, L L^T / n)
+        # with the general definite driver.
+        dims, spec = self.DIMS, self.SPEC
+        vals = sample_spectrum(31, dims, spec).eigenvalues
+        rng = ensure_generator(31)
+        x = sampling._wishart_factor(rng, dims.p, dims.T)
+        lower = sampling._wishart_factor(rng, dims.p, dims.n)
+        x[: spec.rank] = block_root(spec) @ x[: spec.rank]
+        expected = pencil_eigenvalues(x @ x.T / dims.T, lower @ lower.T / dims.n)
+        np.testing.assert_allclose(vals, expected, rtol=1e-10)
+
+    def test_bartlett_law_matches_data_path(self):
+        # Two-sample KS on l_1, the middle eigenvalue and l_p against the
+        # dense Gaussian data path replayed here; the gate is the asymptotic
+        # alpha = 0.001 critical value, fixed before any run.
+        dims, spec, reps = self.DIMS, self.SPEC, 2000
+        root = block_root(spec)
+        bartlett = np.array(
+            [sample_spectrum(stream_generator(41, 0, r), dims, spec).eigenvalues for r in range(reps)]
+        )
+        dense = np.empty_like(bartlett)
+        for r in range(reps):
+            rng = stream_generator(41, 1, r)
+            w = rng.standard_normal((dims.p, dims.T))
+            z = rng.standard_normal((dims.p, dims.n))
+            w[: spec.rank] = root @ w[: spec.rank]
+            dense[r] = pencil_eigenvalues(w @ w.T / dims.T, z @ z.T / dims.n)
+        gate = math.sqrt(-math.log(0.001 / 2.0) / 2.0) * math.sqrt(2.0 / reps)
+        for k in (0, dims.p // 2, dims.p - 1):
+            distance = stats.ks_2samp(bartlett[:, k], dense[:, k]).statistic
+            assert distance <= gate, f"eigenvalue {k}: KS {distance:.4f} > {gate:.4f}"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overflow_is_a_numerical_error(self, seed):
+        # Near the float maximum the whitened signal overflows in some draws
+        # and only the top eigenvalue in others; neither may come out as zeros.
+        dims = ModelDims(p=10, n=30, T=60)
+        with pytest.raises(NumericalError):
+            sample_spectrum(seed, dims, SpikeSpec(spikes=((1.7e308, 1),)))
+
+    def test_rademacher_keeps_the_data_path(self):
+        dims, spec = self.DIMS, self.SPEC
+        vals = sample_spectrum(32, dims, spec, RADEMACHER).eigenvalues
+        rng = ensure_generator(32)
+        w = RADEMACHER.draw(rng, (dims.p, dims.T))
+        z = RADEMACHER.draw(rng, (dims.p, dims.n))
+        w[: spec.rank] = block_root(spec) @ w[: spec.rank]
+        np.testing.assert_array_equal(vals, sampling._gram_pencil(w, z))
 
 
 class TestPencil:
