@@ -65,14 +65,12 @@ __all__ = ["main", "build_parser"]
 
 
 def _fmt(value) -> str:
-    if type(value) is float:
-        return format(value, ".17g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 
