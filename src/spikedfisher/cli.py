@@ -46,7 +46,7 @@ from .detect import (
     null_model,
     records_spectrum,
 )
-from .errors import NumericalError, ParameterError, require_count
+from .errors import NumericalError, ParameterError, require_buffer, require_count
 from .experiments import (
     CltConfig,
     DetectionConfig,
@@ -169,6 +169,12 @@ def _build(label: str, make, *args):
 _OUTPUTS = ("summary", "kde")
 
 
+def _kde_points(value) -> int:
+    points = require_count(value, "kde_points", 2)
+    require_buffer((points * points, 4), "the 2-d density table")  # the largest array
+    return points
+
+
 def _outputs(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(o in _OUTPUTS for o in value):
         raise ParameterError(f"must be a list drawn from {_OUTPUTS}, got {value!r}")
@@ -182,7 +188,7 @@ _CLT_FIELDS = {
     "distribution": ("gaussian", EntryDistribution),
     "replicates": (_REQUIRED, lambda v: require_count(v, "replicates", CltConfig.MIN_REPLICATES)),
     "seed": (_REQUIRED, require_seed),
-    "kde_points": (101, lambda v: require_count(v, "kde_points", 2)),
+    "kde_points": (101, _kde_points),
     "outputs": (list(_OUTPUTS), _outputs),
 }
 

@@ -1,8 +1,10 @@
 """Signal counting from two-sample Fisher spectra.
 
 In the signal-plus-noise record model x_t = A s_t + e_t the number k of
-signal channels equals the number of eigenvalues of A^T Sigma2^{-1} A
-whose value + 1 detaches from the Fisher bulk.  The paper's counter
+signal channels equals the number of eigenvalues of A^T Sigma2^{-1} A = M^T M
+whose value + 1 detaches from the Fisher bulk; M = Sigma2^{-1/2} A
+(`_whitened_mixing`) mixes the whitened records Sigma2^{-1/2} x_t, whose
+Fisher spectrum is that of the raw records.  The paper's counter
 takes the sample eigenvalues above the bulk edge plus a vanishing offset:
 
     count = #{ i : l_i >= b + d_n },     d_n = log(log p) / p^(2/3)
@@ -54,7 +56,6 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-8
-_IDENTITY_TOL = 1e-12
 # 95% quantile of the Tracy-Widom law for real data (beta = 1).
 _TW1_Q95 = 0.9793
 
@@ -95,15 +96,11 @@ class SignalModel:
         mixing: p x k mixing matrix A (k may be 0 for a pure-noise model).
         noise_cov: p x p positive definite noise covariance Sigma2.
         dims: finite-sample dimensions; dims.p must match the matrices.
-        signal_cov: fixed to the identity. Accepts None (meaning identity)
-            or an explicit identity matrix; anything else is rejected, the
-            model keeps signals standardized and pushes scale into A.
     """
 
     mixing: np.ndarray
     noise_cov: np.ndarray
     dims: ModelDims
-    signal_cov: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         mixing = finite_matrix(self.mixing, "mixing matrix")
@@ -120,20 +117,9 @@ class SignalModel:
             )
         if k > p:
             raise ParameterError(f"more signal channels ({k}) than records ({p})")
-        if self.signal_cov is not None:
-            sig = np.asarray(self.signal_cov, dtype=float)
-            if sig.shape != (k, k) or np.max(np.abs(sig - np.eye(k))) > _IDENTITY_TOL:
-                raise ParameterError(
-                    "signal covariance is fixed to the identity; rescale the "
-                    "mixing matrix instead"
-                )
-        mixing = mixing.copy()
-        mixing.setflags(write=False)
-        noise = noise.copy()
-        noise.setflags(write=False)
-        object.__setattr__(self, "mixing", mixing)
-        object.__setattr__(self, "noise_cov", noise)
-        object.__setattr__(self, "signal_cov", None)
+        for name, mat in (("mixing", mixing.copy()), ("noise_cov", noise.copy())):
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     @property
     def num_signals(self) -> int:
@@ -297,8 +283,14 @@ def detect(
     return estimate_count(vals, params, config)
 
 
+def _whitened_mixing(model: SignalModel) -> np.ndarray:
+    """M = Sigma2^{-1/2} A, the mixing of the whitened records (symmetric root)."""
+    vals, vecs = np.linalg.eigh(model.noise_cov)
+    return (vecs / np.sqrt(vals)) @ (vecs.T @ model.mixing)
+
+
 def effective_spikes(model: SignalModel) -> np.ndarray:
-    """Descending eigenvalues of A^T Sigma2^{-1} A, the effective spikes.
+    """Descending eigenvalues of A^T Sigma2^{-1} A = M^T M, the effective spikes.
 
     These play the role of a - 1 in the spiked Fisher ensemble: signal i is
     asymptotically detectable when effective spike + 1 clears the critical
@@ -307,8 +299,8 @@ def effective_spikes(model: SignalModel) -> np.ndarray:
     """
     if model.num_signals == 0:
         return np.zeros(0)
-    gram = model.mixing.T @ np.linalg.solve(model.noise_cov, model.mixing)
-    vals = np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1].copy()
+    mixing = _whitened_mixing(model)
+    vals = np.linalg.eigvalsh(mixing.T @ mixing)[::-1].copy()
     tol = 1e-12 * max(1.0, float(vals[0]))
     nonzero = int(np.count_nonzero(vals > tol))
     if nonzero < model.num_signals:

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the count and number rules.
+"""Error types shared across the package, and the count, size and number rules.
 
 Two failure classes are distinguished so that callers (and the command line
 front end) can map them to different exit codes: bad inputs versus numerical
@@ -9,6 +9,10 @@ import math
 import numbers
 
 __all__ = ["ParameterError", "NumericalError"]
+
+# The most values one array may hold (800 MB of float64).  A fixed bound,
+# so a config is accepted or rejected the same way on every machine.
+MAX_ELEMENTS = 10**8
 
 
 class ParameterError(ValueError):
@@ -24,6 +28,13 @@ def require_count(value, label: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ParameterError(f"{label} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_buffer(shape: tuple[int, ...], label: str) -> None:
+    """The size rule: an array of this shape holds at most MAX_ELEMENTS values."""
+    if math.prod(shape) > MAX_ELEMENTS:
+        size = " x ".join(map(str, shape))
+        raise ParameterError(f"{label} would need a {size} array, above {MAX_ELEMENTS} values")
 
 
 def require_real(value, label: str) -> float:

@@ -3,7 +3,10 @@
 Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
 pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
 fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
-counter along a dimension ladder.  Replicates are embarrassingly parallel;
+counter along a dimension ladder.  Both end in the sampling core: a CLT
+replicate is `sampling.sample_spectrum`, a detection replicate solves its
+whitened records with `sampling._gram_pencil` (`_detection_spectrum`).
+Replicates are embarrassingly parallel;
 each one derives its own counter-based stream from (master_seed, stream
 tag, replicate index), so results are bit-identical for any thread count
 and any scheduling order.  While the replicates run, BLAS runs on one
@@ -23,12 +26,13 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .detect import DetectorConfig, SignalModel, detect
+from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
 from .errors import ParameterError, require_count
 from .randomness import require_seed, stream_generator
 from .sampling import (
     EntryDistribution,
     ModelDims,
+    _gram_pencil,
     _one_blas_thread,
     sample_spectrum,
     spectrum_packets,
@@ -237,51 +241,47 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     )
 
 
-def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+def _detection_spectrum(rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDistribution) -> np.ndarray:
+    """Spectrum of the records A s + Sigma2^{1/2} e and Sigma2^{1/2} z from the stream s, e, z.
+
+    Congruence by Sigma2^{-1/2} keeps the pencil's eigenvalues for every sample and
+    entry law, and turns the records into M s + e and z (M: `detect._whitened_mixing`).
+    """
+    s = dist.draw(rng, (mixing.shape[1], dims.T))
+    x = mixing @ s + dist.draw(rng, (dims.p, dims.T))
+    return _gram_pencil(x, dist.draw(rng, (dims.p, dims.n)))
 
 
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder.
 
-    The config's builder makes one SignalModel per rung.  Each replicate
-    draws signal coefficients, signal-block noise, and pure-noise records
-    in that order from its own stream, runs the detector at the rung's
+    The config's builder makes one SignalModel per rung, whitened once
+    (`detect._whitened_mixing`).  Each replicate draws its records from its
+    own stream (`_detection_spectrum`), counts signals at the rung's
     finite-sample ratios, and lands in one of the count bins 0..4 or "5+".
 
     Raises:
         ParameterError: if the builder rejects a rung, or returns anything
             but a SignalModel of that rung's dimensions.
     """
-    models = []
-    for dims in config.ladder:
-        model = config.model(dims)
+    models = [config.model(dims) for dims in config.ladder]
+    for dims, model in zip(config.ladder, models):
         if not isinstance(model, SignalModel):
             raise ParameterError(f"model builder returned {type(model).__name__}, not a SignalModel")
         if model.dims != dims:
             raise ParameterError(f"model builder returned dims {model.dims} for rung {dims}")
-        models.append(model)
 
     freq = np.zeros((len(COUNT_BIN_LABELS), len(models)))
     for entry, model in enumerate(models):
-        dims = model.dims
-        noise_root = _sym_sqrt(model.noise_cov)
+        mixing, params = _whitened_mixing(model), model.dims.fisher_params()
 
-        def one(rep: int, _model=model, _root=noise_root, _entry=entry) -> int:
-            rng = stream_generator(config.master_seed, _DETECT_STREAM, _entry, rep)
-            dims_ = _model.dims
-            k = _model.num_signals
-            x = np.zeros((dims_.p, dims_.T))
-            if k > 0:
-                coeffs = config.dist.draw(rng, (k, dims_.T))
-                x = _model.mixing @ coeffs
-            x = x + _root @ config.dist.draw(rng, (dims_.p, dims_.T))
-            noise = _root @ config.dist.draw(rng, (dims_.p, dims_.n))
-            return detect(x, noise, config.detector)
+        # Runs to completion inside this iteration, so it may read the loop variables.
+        def one(rep: int) -> int:
+            rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
+            vals = _detection_spectrum(rng, mixing, model.dims, config.dist)
+            return estimate_count(vals, params, config.detector)
 
-        counts = _map_indexed(one, config.replicates, threads)
-        for k_hat in counts:
+        for k_hat in _map_indexed(one, config.replicates, threads):
             freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1
     freq /= config.replicates
 
@@ -289,9 +289,7 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
         labels = tuple(f"p={d.p}" for d in config.ladder)
     else:
         labels = tuple(f"p={d.p},n={d.n},T={d.T}" for d in config.ladder)
-    return FrequencyTable(
-        row_labels=COUNT_BIN_LABELS, column_labels=labels, frequencies=freq
-    )
+    return FrequencyTable(row_labels=COUNT_BIN_LABELS, column_labels=labels, frequencies=freq)
 
 
 def _sample(values) -> np.ndarray:

@@ -10,7 +10,8 @@ the spectrum of the pencil (S1, S2), i.e. of the Fisher matrix S2^{-1} S1.
 Two paths give it, each with its own stream order:
 
 * Rademacher entries (the data path) draw W, then Z, form both Grams and
-  solve the pencil through LAPACK's generalized symmetric-definite driver.
+  solve the pencil through LAPACK's generalized symmetric-definite driver
+  (`_gram_pencil`, which also serves record files and detection replicates).
 * Gaussian entries (the Bartlett path) use that W W^T and Z Z^T are
   Wishart: their lower-triangular Bartlett factors L1 and L2 have the same
   law, and L2 is already the Cholesky factor of the noise Gram.  The
@@ -37,7 +38,7 @@ import numpy as np
 import scipy
 import scipy.linalg
 
-from .errors import NumericalError, ParameterError, require_count
+from .errors import NumericalError, ParameterError, require_buffer, require_count
 from .randomness import ensure_generator
 from .spikes import SpikeSpec
 from .wachter import FisherParams
@@ -47,15 +48,10 @@ __all__ = [
     "GAUSSIAN",
     "RADEMACHER",
     "ModelDims",
-    "SpectrumSample",
     "pencil_eigenvalues",
     "sample_spectrum",
     "spectrum_packets",
 ]
-
-# Eigenvalues below ZERO_RTOL times the top one are reported as exact zeros;
-# with p > T exactly p - T of them arise from the rank deficiency of S1.
-ZERO_RTOL = 1e-10
 
 _DIST_NAMES = ("gaussian", "rademacher")
 
@@ -93,7 +89,11 @@ RADEMACHER = EntryDistribution("rademacher")
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Finite-sample dimensions (p, n, T) with p < n so S2 is invertible."""
+    """Finite-sample dimensions (p, n, T) with p < n so S2 is invertible.
+
+    The largest array a replicate draws, p x max(n, T), must pass the size
+    rule `require_buffer`.
+    """
 
     p: int
     n: int
@@ -106,6 +106,7 @@ class ModelDims:
             raise ParameterError(
                 f"need p < n for an invertible noise covariance estimate, got p={self.p}, n={self.n}"
             )
+        require_buffer((self.p, max(self.n, self.T)), "dimensions p x max(n, T)")
 
     @classmethod
     def coerce(cls, value) -> ModelDims:
@@ -131,18 +132,6 @@ class ModelDims:
     def fisher_params(self) -> FisherParams:
         """Finite-sample stand-ins for the limiting ratios."""
         return FisherParams(c=self.c_p, y=self.y_p)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """Eigenvalues of one simulated Fisher matrix, sorted descending.
-
-    All values are nonnegative; when p > T exactly p - T of them are exact
-    zeros (rank deficiency of S1, clamped at ZERO_RTOL times the top value).
-    """
-
-    eigenvalues: np.ndarray
-    dims: ModelDims
 
 
 def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -273,14 +262,16 @@ def sample_spectrum(
     dims: ModelDims,
     spec: SpikeSpec,
     dist: EntryDistribution = GAUSSIAN,
-) -> SpectrumSample:
-    """Simulate one spiked Fisher matrix and return its spectrum.
+) -> np.ndarray:
+    """Simulate one spiked Fisher matrix; its eigenvalues, sorted descending.
 
     Gaussian entries take the Bartlett path: the stream gives the signal
     factor (T degrees of freedom), then the noise factor (n), as in
     `_wishart_factor`.  Rademacher entries take the data path: the stream
     gives W (p x T), then Z (p x n).  Either way Sigma^{1/2} touches only
-    the first M rows of the signal matrix (`_spiked`).
+    the first M rows of the signal matrix (`_spiked`).  When T < p, S1 has
+    rank T and the last p - T eigenvalues are set to exact zeros; rounding-level
+    negatives (a singular S1) become zeros too.
 
     Args:
         rng: Generator or seed accepted by `ensure_generator`.
@@ -289,7 +280,8 @@ def sample_spectrum(
         ParameterError: if the spike rank exceeds p.
         NumericalError: if the simulated S2 is numerically singular (never
             the case for continuous entries when n >= p), an entry is not
-            finite, or eigenvalues come out significantly negative.
+            finite, or one of the top min(p, T) eigenvalues is negative
+            beyond rounding (p eps times the top eigenvalue).
     """
     rng = ensure_generator(rng)
     spec.require_fits(dims.p)
@@ -302,16 +294,15 @@ def sample_spectrum(
         vals = _gram_pencil(_spiked(w, spec), z)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("the spectrum overflowed; a spike value is too large")
-    tol = ZERO_RTOL * max(vals[0], 0.0)
-    vals[np.abs(vals) <= tol] = 0.0
-    if vals[-1] < 0.0:
-        raise NumericalError(
-            f"pencil solver returned a significantly negative eigenvalue {vals[-1]:.3e}"
-        )
-    return SpectrumSample(eigenvalues=vals, dims=dims)
+    rank = min(dims.p, dims.T)
+    vals[rank:] = 0.0
+    # A singular S1, which discrete entries can give, leaves negatives at rounding level.
+    if vals[rank - 1] < -dims.p * np.finfo(float).eps * vals[0]:
+        raise NumericalError(f"pencil solver returned a negative eigenvalue {vals[rank - 1]:.3e}")
+    return np.maximum(vals, 0.0, out=vals)
 
 
-def spectrum_packets(sample: SpectrumSample, spec: SpikeSpec) -> tuple[np.ndarray, ...]:
+def spectrum_packets(eigenvalues: np.ndarray, spec: SpikeSpec) -> tuple[np.ndarray, ...]:
     """Extract each spike's packet of sample eigenvalues, in spike order.
 
     Packet i holds the n_i consecutive order statistics that track spike i:
@@ -321,5 +312,5 @@ def spectrum_packets(sample: SpectrumSample, spec: SpikeSpec) -> tuple[np.ndarra
     Raises:
         ParameterError: if the spike rank exceeds the sample dimension.
     """
-    positions = spec.packet_indices(sample.eigenvalues.size)
-    return tuple(sample.eigenvalues[idx] for idx in positions)
+    positions = spec.packet_indices(eigenvalues.size)
+    return tuple(eigenvalues[idx] for idx in positions)

@@ -165,6 +165,16 @@ class TestSimulateClt:
         err = capsys.readouterr().err
         assert "spike value 1e+160 is too large for the CLT constants" in err
 
+    def test_huge_spike_keeps_the_small_packet(self, tmp_path):
+        config = write_clt_config(
+            tmp_path / "study.json", dims=[20, 40, 60], spikes=[[1e12, 1], [0.05, 1]], outputs=[]
+        )
+        out = tmp_path / "out"
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", out) == 0
+        rows = read_csv(out / "replicates.csv")
+        assert rows[0][2] == "stat_2_1"
+        assert len({row[2] for row in rows[1:]}) == 10
+
     def test_violations_are_enumerated(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -259,6 +269,24 @@ CUSTOM_MODEL = {
 }
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenFrequencies:
+    """detect-study bytes against files written by the dense-root replicate.
+
+    Before replicates whitened the pencil, each one formed A s + R e and
+    R z with the noise root R; the frequency tables must not have moved.
+    """
+
+    @pytest.mark.parametrize("name", ["block_gaussian", "custom_rademacher"])
+    def test_frequency_bytes(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert run_cli("detect-study", "--config", GOLDEN / f"{name}.json", "--out-dir", out) == 0
+        expected = (GOLDEN / f"{name}_frequency.csv").read_bytes()
+        assert (out / "frequency.csv").read_bytes() == expected
+
+
 class TestConfigRejections:
     """Each malformed config exits 2 and the message names what is wrong."""
 
@@ -271,6 +299,12 @@ class TestConfigRejections:
             ({"basis": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, "basis"),
             ({"outputs": ["plots"]}, "outputs"),
             ({"replicates": True}, "replicates"),
+            # Sizes beyond the array bound, rejected before anything is allocated.
+            ({"dims": [6, 10**30, 12]}, "dims"),
+            ({"dims": [10**30, 10**30 + 1, 12]}, "dims"),
+            ({"dims": [100, 200, 10**7]}, "dims"),
+            ({"kde_points": 10**30}, "kde_points"),
+            ({"kde_points": 10**4}, "kde_points"),
         ],
     )
     def test_simulate_clt(self, tmp_path, capsys, overrides, field):
@@ -296,6 +330,8 @@ class TestConfigRejections:
             ({"model": {"kind": "block-noise", "rho": 0.2}}, "rho"),
             ({"dn_override": True}, "dn_override"),
             ({"ladder": []}, "ladder"),
+            ({"ladder": [[20, 10**30, 100]]}, "ladder"),
+            ({"ladder": [[20, 40, 100], [10**15, 10**15 + 1, 10]]}, "ladder"),
         ],
     )
     def test_detect_study(self, tmp_path, capsys, overrides, field):

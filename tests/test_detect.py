@@ -38,21 +38,6 @@ class TestSignalModel:
         assert model.num_signals == 2
         assert not model.mixing.flags.writeable
 
-    def test_signal_cov_must_be_identity(self):
-        SignalModel(
-            mixing=np.ones((6, 2)),
-            noise_cov=np.eye(6),
-            dims=self.DIMS,
-            signal_cov=np.eye(2),
-        )
-        with pytest.raises(ParameterError):
-            SignalModel(
-                mixing=np.ones((6, 2)),
-                noise_cov=np.eye(6),
-                dims=self.DIMS,
-                signal_cov=2.0 * np.eye(2),
-            )
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ParameterError):
             SignalModel(mixing=np.ones((5, 2)), noise_cov=np.eye(6), dims=self.DIMS)

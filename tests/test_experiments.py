@@ -19,15 +19,21 @@ from spikedfisher import (
     SignalModel,
     SpikeSpec,
     block_noise_model,
+    effective_spikes,
     ensure_generator,
+    equicorrelated_model,
+    estimate_count,
     kde_1d,
     kde_2d,
     null_model,
+    records_spectrum,
     run_clt_study,
     run_detection_study,
     silverman_bandwidth,
+    stream_generator,
     summarize,
 )
+from spikedfisher.detect import _whitened_mixing
 
 SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
 DIMS = ModelDims(p=60, n=120, T=300)
@@ -174,6 +180,70 @@ class TestDetectionStudy:
     def test_spike_spec_target_rejected(self):
         with pytest.raises(ParameterError):
             self.config(model=SPEC)
+
+
+def dense_custom_model(dims):
+    """Dense, well-spread noise covariance and two mixing columns (test-local)."""
+    rng = np.random.default_rng(19)
+    w = rng.standard_normal((dims.p, dims.p))
+    mixing = np.zeros((dims.p, 2))
+    mixing[:3] = [[2.5, 0.0], [0.8, 1.9], [0.0, 1.1]]
+    return SignalModel(mixing=mixing, noise_cov=w @ w.T / dims.p + 0.5 * np.eye(dims.p), dims=dims)
+
+
+class TestWhitenedReplicate:
+    """The whitened replicate gives the spectrum of the dense records it stands for.
+
+    The reference replays the replicate's stream into the records
+    A s + R e and R z with R = Sigma2^{1/2}, the symmetric root.
+    """
+
+    DIMS = ModelDims(p=40, n=80, T=200)
+    REPS = 20
+    MODELS = {
+        "block-noise": block_noise_model,
+        "equicorrelated": lambda dims: equicorrelated_model(dims, rho=0.3),
+        "custom": dense_custom_model,
+        "null": null_model,
+    }
+
+    @staticmethod
+    def dense_root_spectrum(rng, model, dist):
+        vals, vecs = np.linalg.eigh(model.noise_cov)
+        root = (vecs * np.sqrt(vals)) @ vecs.T
+        dims = model.dims
+        x = np.zeros((dims.p, dims.T))
+        if model.num_signals > 0:
+            x = model.mixing @ dist.draw(rng, (model.num_signals, dims.T))
+        x = x + root @ dist.draw(rng, (dims.p, dims.T))
+        return records_spectrum(x, root @ dist.draw(rng, (dims.p, dims.n)))[0]
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_matches_dense_root_records(self, kind, dist):
+        model = self.MODELS[kind](self.DIMS)
+        mixing = _whitened_mixing(model)
+        params = self.DIMS.fisher_params()
+        counts = np.zeros(len(experiments.COUNT_BIN_LABELS))
+        for rep in range(self.REPS):
+            stream = (5, experiments._DETECT_STREAM, 0, rep)
+            whitened = experiments._detection_spectrum(
+                stream_generator(*stream), mixing, self.DIMS, dist
+            )
+            dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
+            np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
+            counts[min(estimate_count(dense, params), counts.size - 1)] += 1
+        config = small_detection_config(
+            ladder=(self.DIMS,), model=lambda dims: model, dist=dist, replicates=self.REPS, master_seed=5
+        )
+        np.testing.assert_array_equal(run_detection_study(config).frequencies[:, 0], counts / self.REPS)
+
+    def test_effective_spikes_are_the_whitened_gram(self):
+        model = dense_custom_model(self.DIMS)
+        gram = model.mixing.T @ np.linalg.solve(model.noise_cov, model.mixing)
+        np.testing.assert_allclose(
+            effective_spikes(model), np.linalg.eigvalsh(gram)[::-1], rtol=1e-12
+        )
 
 
 class TestMapIndexed:
