@@ -287,6 +287,34 @@ class TestGoldenFrequencies:
         assert (out / "frequency.csv").read_bytes() == expected
 
 
+class TestGoldenOutputs:
+    """simulate-clt and law bytes against files written before each spike's
+    limit law moved into `CLTConstants`.  Manifests are compared without
+    their timestamp.
+    """
+
+    @staticmethod
+    def assert_same_files(out, golden):
+        names = sorted(path.name for path in golden.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            data, expected = (out / name).read_bytes(), (golden / name).read_bytes()
+            if name == "manifest.json":
+                data, expected = (json.loads(d) for d in (data, expected))
+                del data["created_utc"], expected["created_utc"]
+            assert data == expected, name
+
+    @pytest.mark.parametrize("name", ["clt_gaussian", "clt_rademacher"])
+    def test_simulate_clt_bytes(self, tmp_path, name):
+        config = GOLDEN / f"{name}.json"
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path, "--threads", 2) == 0
+        self.assert_same_files(tmp_path, GOLDEN / name)
+
+    def test_law_bytes(self, tmp_path):
+        assert run_cli("law", 0.2, 0.5, "--points", 64, "--out-dir", tmp_path) == 0
+        self.assert_same_files(tmp_path, GOLDEN / "law")
+
+
 class TestConfigRejections:
     """Each malformed config exits 2 and the message names what is wrong."""
 
