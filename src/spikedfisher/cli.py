@@ -29,6 +29,7 @@ import csv
 import datetime
 import inspect
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -46,7 +47,7 @@ from .detect import (
     null_model,
     records_spectrum,
 )
-from .errors import NumericalError, ParameterError, require_buffer, require_count
+from .errors import NumericalError, ParameterError, require_buffer, require_count, require_real
 from .experiments import (
     CltConfig,
     DetectionConfig,
@@ -58,20 +59,14 @@ from .experiments import (
 )
 from .randomness import require_seed
 from .sampling import EntryDistribution, ModelDims, _blas_threads, _one_blas_thread
-from .spikes import SpikeSpec, projection_variance
+from .spikes import SpikeSpec
 from .wachter import FisherParams, critical_interval, density, mass_at_zero, support_edges
 
 __all__ = ["main", "build_parser"]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    return format(float(value), ".17g") if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -255,11 +250,11 @@ def _detect_config(raw: dict, seed, dn_override) -> DetectionConfig:
 def cmd_law(args) -> int:
     params = FisherParams(c=args.c, y=args.y)
     edges = support_edges(params)
-    require_count(args.points, "--points", 0)
-    x_min = edges.lower if args.x_min is None else args.x_min
-    x_max = edges.upper if args.x_max is None else args.x_max
-    if args.points > 1 and not x_min < x_max:
-        raise ParameterError(f"need --x-min < --x-max, got [{x_min}, {x_max}]")
+    require_buffer((require_count(args.points, "--points", 0),), "--points")
+    x_min = edges.lower if args.x_min is None else require_real(args.x_min, "--x-min")
+    x_max = edges.upper if args.x_max is None else require_real(args.x_max, "--x-max")
+    if args.points > 1 and not 0.0 < x_max - x_min < math.inf:
+        raise ParameterError(f"need --x-min < --x-max with a finite width, got [{x_min}, {x_max}]")
 
     out = _out_dir(args)
     grid = np.linspace(x_min, x_max, args.points)
@@ -304,8 +299,6 @@ def _clt_summary_entry(result, index: int) -> dict:
     consts = result.constants[index]
     emp = result.empirical[index]
     lim = result.limit[index]
-    params = result.dims.fisher_params()
-    v4 = result.dist.fourth_moment
     members = []
     for j in range(mult):
         stats = summarize(emp[:, j])
@@ -318,7 +311,7 @@ def _clt_summary_entry(result, index: int) -> dict:
         }
         if mult == 1:
             direction = result.spec.block_columns(index)[:, 0]
-            ref_var = projection_variance(params, spike_value, direction, v4)
+            ref_var = consts.projection_variance(direction)
             member["reference_variance"] = ref_var
             member["ks_vs_reference"] = summarize(emp[:, j], 0.0, ref_var).ks_distance
         members.append(member)
@@ -353,36 +346,22 @@ def cmd_simulate_clt(args) -> int:
     written = ["replicates.csv"]
 
     if "kde" in fields["outputs"]:
-        for i, (_, mult) in enumerate(spikes):
-            emp, lim = result.empirical[i], result.limit[i]
-            if mult == 1:
-                grid = _kde_grid(np.concatenate([emp[:, 0], lim[:, 0]]), kde_points)
-                name = f"kde_spike{i + 1}.csv"
-                table = np.column_stack([grid, kde_1d(emp[:, 0], grid), kde_1d(lim[:, 0], grid)])
-                _write_csv(
-                    out / name, ["value", "empirical_density", "limit_density"], table.tolist()
-                )
-                written.append(name)
-            elif mult == 2:
-                grid_x = _kde_grid(np.concatenate([emp[:, 0], lim[:, 0]]), kde_points)
-                grid_y = _kde_grid(np.concatenate([emp[:, 1], lim[:, 1]]), kde_points)
-                # Rows run over grid_x, then grid_y: the C order of the surfaces.
-                table = np.column_stack(
-                    [
-                        np.repeat(grid_x, grid_y.size),
-                        np.tile(grid_y, grid_x.size),
-                        kde_2d(emp, grid_x, grid_y).ravel(),
-                        kde_2d(lim, grid_x, grid_y).ravel(),
-                    ]
-                )
-                name = f"kde2d_spike{i + 1}.csv"
-                _write_csv(
-                    out / name,
-                    ["x1", "x2", "empirical_density", "limit_density"],
-                    table.tolist(),
-                )
-                written.append(name)
-            # Packets of multiplicity > 2 are summarized but not gridded.
+        # Packets of multiplicity > 2 are summarized but not gridded.
+        for i, (emp, lim) in enumerate(zip(result.empirical, result.limit)):
+            if emp.shape[1] > 2:
+                continue
+            grids = [_kde_grid(np.concatenate([e, l]), kde_points) for e, l in zip(emp.T, lim.T)]
+            if len(grids) == 1:
+                name, coords = f"kde_spike{i + 1}.csv", ["value"]
+                dens = [kde_1d(sample[:, 0], grids[0]) for sample in (emp, lim)]
+            else:
+                name, coords = f"kde2d_spike{i + 1}.csv", ["x1", "x2"]
+                dens = [kde_2d(sample, *grids).ravel() for sample in (emp, lim)]
+            # Rows run over the first grid, then the second: the C order of the surfaces.
+            lattice = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
+            table = np.column_stack(lattice + dens).tolist()
+            _write_csv(out / name, coords + ["empirical_density", "limit_density"], table)
+            written.append(name)
 
     if "summary" in fields["outputs"]:
         summary = {

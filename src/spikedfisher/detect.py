@@ -61,11 +61,13 @@ _TW1_Q95 = 0.9793
 
 
 def finite_matrix(mat, label: str) -> np.ndarray:
-    """The matrix rule of models and records: numeric, 2-d, all entries finite."""
+    """The matrix rule of models and records: real, numeric, 2-d, all entries finite."""
     try:
+        if np.iscomplexobj(mat):  # a cast to float would drop the imaginary part
+            raise TypeError
         mat = np.asarray(mat, dtype=float)
     except (TypeError, ValueError):
-        raise ParameterError(f"{label} must be a numeric matrix with rows of equal length") from None
+        raise ParameterError(f"{label} must be a real matrix with rows of equal length") from None
     if mat.ndim != 2:
         raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):

@@ -137,10 +137,10 @@ class DetectionConfig:
 class CltStudyResult:
     """Outcome of a fluctuation study at one (p, n, T).
 
-    `empirical[i]` stacks sqrt(p)(l - lam_i) over replicates for spike i
-    (shape (replicates, n_i), rows in replicate order, columns descending
-    within the packet); `limit[i]` holds as many independent draws of the
-    matching limit law.
+    `constants[i]` is spike i's limit law; `empirical[i]` stacks
+    sqrt(p)(l - lam_i) over replicates (shape (replicates, n_i), rows in
+    replicate order, columns descending within the packet) and `limit[i]`
+    holds as many independent draws of that law.
     """
 
     dims: ModelDims

@@ -12,10 +12,12 @@ pole = 1/(1 - y), with r = sqrt(c + y - c y): spikes strictly outside
 produce outliers at phi(a), spikes inside are swallowed by the bulk edge.
 
 For a detached spike the packet of sample eigenvalues associated with a_i,
-scaled by sqrt(p) around phi(a_i), converges jointly to the spectrum of a
-GOE-type M x M random matrix projected onto the spike's eigenspace.  This
-module evaluates the map, the CLT constants, and samples that limiting law
-directly so Monte Carlo spectra can be compared against it.
+scaled by sqrt(p) around phi(a_i), converges jointly to the eigenvalues of
+-U_i^T R U_i / delta_i: R is a symmetric Gaussian M x M matrix and U_i
+spans the spike's eigenspace.  The limit is Gaussian exactly when the spike
+is simple.  `CLTConstants` holds each spike's law (from `clt_constants`),
+and `sample_limit_batch` draws from it so Monte Carlo spectra can be
+compared against it.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "spike_limit",
     "phi_small_y_reduction",
     "clt_constants",
-    "projection_variance",
-    "draw_fluctuation_matrix",
     "sample_limit_batch",
 ]
 
@@ -222,24 +222,52 @@ def phi_small_y_reduction(c: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class CLTConstants:
-    """Constants of the sqrt(p) fluctuation law of one detached spike.
+    """The sqrt(p) fluctuation law of one detached spike.
+
+    Spike i's packet converges to the eigenvalues of -U_i^T R U_i / delta,
+    with R a symmetric Gaussian M x M matrix: off-diagonal variance theta,
+    diagonal variance 2 theta + (fourth_moment - 3) omega.
 
     Attributes:
         lam: outlier location phi(a).
-        delta: derivative-type normalizer; fluctuations are eigenvalues of
-            the fluctuation matrix scaled by -1/delta.
-        theta: off-diagonal variance of the fluctuation matrix.
-        omega: kurtosis coupling; the diagonal variance is
-            2 theta + (fourth_moment - 3) omega.
-        sigma_sq: scalar variance (2 theta + (fourth_moment - 3) omega)
-            / delta^2 of a simple spike with a coordinate eigenvector.
+        delta: derivative-type normalizer.
+        theta: off-diagonal variance of R.
+        omega: kurtosis coupling of the diagonal variance.
+        fourth_moment: E[w^4] of the standardized matrix entries.
     """
 
     lam: float
     delta: float
     theta: float
     omega: float
-    sigma_sq: float
+    fourth_moment: float
+
+    def _variance_form(self, quartic: float) -> float:
+        """2 theta + (fourth_moment - 3) omega quartic: the variance of u^T R u."""
+        return 2.0 * self.theta + (self.fourth_moment - 3.0) * self.omega * quartic
+
+    @property
+    def sigma_sq(self) -> float:
+        """Limit variance of a simple spike carried by a coordinate vector."""
+        return self._variance_form(1.0) / (self.delta * self.delta)
+
+    def projection_variance(self, direction: np.ndarray) -> float:
+        """Limit variance of a simple spike carried by the unit vector `direction`.
+
+        The limit -u^T R u / delta is centered normal with variance
+        (2 theta + (fourth_moment - 3) omega sum u_m^4) / delta^2: sigma_sq
+        for a coordinate vector, a smaller kurtosis term for spread-out ones.
+
+        Raises:
+            ParameterError: if `direction` is not a finite unit vector.
+        """
+        u = np.asarray(direction, dtype=float)
+        if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u)):
+            raise ParameterError(f"direction must be a finite 1-d vector, got shape {u.shape}")
+        norm = float(np.linalg.norm(u))
+        if abs(norm - 1.0) > 1e-8:
+            raise ParameterError(f"direction must have unit norm, got {norm}")
+        return self._variance_form(float(np.sum(u**4))) / (self.delta * self.delta)
 
 
 def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) -> CLTConstants:
@@ -267,83 +295,21 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
     c, y = params.c, params.y
     try:
         dd = a * a * (y - 1.0) + 2.0 * a + c - 1.0
-        lam = phi(params, a)
-        delta = (1.0 - a - c) * (1.0 + a * (y - 1.0)) ** 2 / ((a - 1.0) * dd)
-        theta = a * a * (a + c - 1.0) ** 2 * (c * y - c - y) / dd
-        omega = a * a * (a + c - 1.0) ** 2 * (c + y) / (a - 1.0) ** 2
-        sigma_sq = (2.0 * theta + (fourth_moment - 3.0) * omega) / (delta * delta)
-        if not all(map(math.isfinite, (lam, delta, theta, omega, sigma_sq))):
+        consts = CLTConstants(
+            lam=phi(params, a),
+            delta=(1.0 - a - c) * (1.0 + a * (y - 1.0)) ** 2 / ((a - 1.0) * dd),
+            theta=a * a * (a + c - 1.0) ** 2 * (c * y - c - y) / dd,
+            omega=a * a * (a + c - 1.0) ** 2 * (c + y) / (a - 1.0) ** 2,
+            fourth_moment=fourth_moment,
+        )
+        values = (consts.lam, consts.delta, consts.theta, consts.omega, consts.sigma_sq)
+        if not all(map(math.isfinite, values)):
             raise OverflowError
     except OverflowError:
         raise NumericalError(
             f"spike value {a!r} is too large for the CLT constants: they overflow the float range"
         ) from None
-    return CLTConstants(lam=lam, delta=delta, theta=theta, omega=omega, sigma_sq=sigma_sq)
-
-
-def projection_variance(
-    params: FisherParams,
-    a: float,
-    direction: np.ndarray,
-    fourth_moment: float = 3.0,
-) -> float:
-    """Limit variance of a simple spike carried by the unit vector `direction`.
-
-    The scalar limit -u^T R u / delta of a rank-one spike is centered
-    normal with variance (2 theta + (fourth_moment - 3) omega sum u_m^4)
-    / delta^2.  For a coordinate vector the quartic sum is 1 and this
-    reduces to sigma_sq; for spread-out vectors the kurtosis correction
-    shrinks.
-
-    Raises:
-        ParameterError: if `direction` is not a finite unit vector.
-    """
-    u = np.asarray(direction, dtype=float)
-    if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u)):
-        raise ParameterError(f"direction must be a finite 1-d vector, got shape {u.shape}")
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > 1e-8:
-        raise ParameterError(f"direction must have unit norm, got {norm}")
-    consts = clt_constants(params, a, fourth_moment)
-    quartic = float(np.sum(u**4))
-    var_form = 2.0 * consts.theta + (fourth_moment - 3.0) * consts.omega * quartic
-    return var_form / (consts.delta * consts.delta)
-
-
-def draw_fluctuation_matrix(
-    rng,
-    params: FisherParams,
-    a: float,
-    dim: int,
-    fourth_moment: float = 3.0,
-    size: int | None = None,
-):
-    """Symmetric Gaussian fluctuation matrices of spike a.
-
-    Entries are independent up to symmetry: diagonal variance
-    2 theta + (fourth_moment - 3) omega, off-diagonal variance theta.
-    Diagonal entries are drawn first, then the upper triangle row by row.
-
-    Args:
-        rng: Generator or seed accepted by `ensure_generator`.
-        dim: matrix dimension (the total spike rank M).
-        size: None for a single (dim, dim) matrix, else a batch count
-            giving shape (size, dim, dim).
-    """
-    rng = ensure_generator(rng)
-    require_count(dim, "matrix dimension", 1)
-    consts = clt_constants(params, a, fourth_moment)
-    diag_var = 2.0 * consts.theta + (fourth_moment - 3.0) * consts.omega
-    batch = 1 if size is None else require_count(size, "batch size", 1)
-    out = np.zeros((batch, dim, dim))
-    idx = np.arange(dim)
-    out[:, idx, idx] = rng.normal(0.0, math.sqrt(diag_var), (batch, dim))
-    if dim > 1:
-        rows, cols = np.triu_indices(dim, k=1)
-        upper = rng.normal(0.0, math.sqrt(consts.theta), (batch, rows.size))
-        out[:, rows, cols] = upper
-        out[:, cols, rows] = upper
-    return out[0] if size is None else out
+    return consts
 
 
 def sample_limit_batch(
@@ -355,21 +321,30 @@ def sample_limit_batch(
 ) -> list[np.ndarray]:
     """Batch of independent draws from the joint limiting fluctuation law.
 
-    For spike i with constants (lam_i, delta_i, theta_i, omega_i), one draw
-    is the descending spectrum of -(U_i^T R_i U_i) / delta_i where R_i is a
-    fresh M x M fluctuation matrix and U_i the spike's basis block; blocks
-    of different spikes are independent.
+    For spike i, one draw is the descending spectrum of -(U_i^T R_i U_i) /
+    delta_i, where U_i is the spike's basis block and R_i a fresh M x M
+    matrix of the spike's law (`CLTConstants`): its diagonal is drawn
+    first, then its upper triangle row by row.  Blocks of different spikes
+    are independent.
 
     Returns:
         One (size, n_i) array per spike, rows independent, columns sorted
         descending.
     """
     rng = ensure_generator(rng)
+    size = require_count(size, "batch size", 1)
     m = spec.rank
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, k=1)
     out = []
     for i, (value, mult) in enumerate(spec.spikes):
         consts = clt_constants(params, value, fourth_moment)
-        rmats = draw_fluctuation_matrix(rng, params, value, m, fourth_moment, size)
+        rmats = np.zeros((size, m, m))
+        rmats[:, diag, diag] = rng.normal(0.0, math.sqrt(consts._variance_form(1.0)), (size, m))
+        if m > 1:
+            upper = rng.normal(0.0, math.sqrt(consts.theta), (size, rows.size))
+            rmats[:, rows, cols] = upper
+            rmats[:, cols, rows] = upper
         u_i = spec.block_columns(i)
         projected = -np.einsum("mj,smn,nk->sjk", u_i, rmats, u_i, optimize=True) / consts.delta
         if mult == 1:

@@ -34,7 +34,6 @@ from spikedfisher import (
     moment_values,
     null_model,
     phi,
-    projection_variance,
     run_clt_study,
     run_detection_study,
     sample_limit_batch,
@@ -224,7 +223,7 @@ def test_05_clt_variances(gauss_study, rademacher_study, general_basis_study):
     var_bot_g = gauss_study.empirical[2][:, 0].var(ddof=1)
     var_bot_r = rademacher_study.empirical[2][:, 0].var(ddof=1)
     var_gen = general_basis_study.empirical[2][:, 0].var(ddof=1)
-    ref_gen = projection_variance(REFERENCE, 0.1, _u4, fourth_moment=1.0)
+    ref_gen = clt_constants(REFERENCE, 0.1, fourth_moment=1.0).projection_variance(_u4)
     print(f"var top: gaussian {var_top_g:.1f} (4246.8), binary {var_top_r:.1f} (2039.8)")
     print(f"var bottom: gaussian {var_bot_g:.6f} (7.2e-3), binary {var_bot_r:.6f} (9e-4)")
     print(f"var bottom, rotated basis: {var_gen:.6f} (0.004; exact {ref_gen:.6f})")

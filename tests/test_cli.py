@@ -88,6 +88,22 @@ class TestLaw:
         assert code == 2
         assert "x-min" in capsys.readouterr().err
 
+    def test_oversized_grid_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("law", 0.2, 0.5, "--points", 10**15, "--out-dir", out) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "window, flag",
+        [(["--x-max", "inf", "--points", 4], "--x-max"), (["--x-min", "nan", "--points", 1], "--x-min")],
+    )
+    def test_non_finite_window_exits_two(self, tmp_path, capsys, window, flag):
+        out = tmp_path / "out"
+        assert run_cli("law", 0.2, 0.5, *window, "--out-dir", out) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateClt:
     def test_full_file_set(self, tmp_path):
@@ -469,8 +485,38 @@ _DETECT_CONFIG = _config(
 )
 
 
+# law: ratios and window bounds of any float, grids from empty to above the size bound.
+_LAW_REAL = st.one_of(st.sampled_from([0.2, 0.5, 1.5, 3.0, 0.0, -0.5]), st.floats())
+_LAW_BOUND = st.one_of(st.none(), _LAW_REAL)
+_LAW_POINTS = st.one_of(st.integers(-1, 20), st.sampled_from([10**8 + 1, 10**15, 10**30]))
+
+# detect: (shape, dtype, poisoned last entry, seed) of one record file.  The
+# records share p = 3 most of the time; p >= n and empty arrays come up too.
+_RECORDS = st.tuples(
+    st.one_of(
+        st.tuples(st.sampled_from([3] * 6 + [1, 5]), st.integers(0, 9)),
+        st.tuples(st.integers(0, 6)),
+        st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)),
+    ),
+    st.sampled_from(["float64"] * 4 + ["float32", "complex128", "object", "structured"]),
+    st.sampled_from([None] * 5 + [math.nan, math.inf, -math.inf]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _record_array(shape, kind, poison, seed):
+    values = np.random.default_rng(seed).standard_normal(shape)
+    if poison is not None and values.size:
+        values.flat[-1] = poison
+    if kind == "structured":
+        records = np.zeros(shape, dtype=[("v", float), ("w", float)])
+        records["v"] = values
+        return records
+    return values + 1j if kind == "complex128" else values.astype(kind)
+
+
 class TestConfigProperty:
-    """Any JSON config ends in exit 0, 2 or 3, never in a traceback."""
+    """Any JSON config or command line ends in exit 0, 2 or 3, never in a traceback."""
 
     @staticmethod
     def run_config(command, config):
@@ -488,6 +534,28 @@ class TestConfigProperty:
     @given(_DETECT_CONFIG)
     def test_detect_study(self, config):
         assert self.run_config("detect-study", config) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_LAW_REAL, _LAW_REAL, _LAW_POINTS, _LAW_BOUND, _LAW_BOUND)
+    def test_law(self, c, y, points, x_min, x_max):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["law", "--points", points, "--out-dir", Path(tmp) / "out"]
+            for flag, value in (("x-min", x_min), ("x-max", x_max)):
+                argv += [] if value is None else [f"--{flag}={value!r}"]
+            assert run_cli(*argv, "--", repr(c), repr(y)) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_RECORDS, _RECORDS, st.booleans(), st.integers(-1, 4), st.one_of(st.none(), _LAW_REAL))
+    def test_detect(self, signal, noise, center, top, shift):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["detect", "--top", top, "--out-dir", Path(tmp) / "out"]
+            for flag, (shape, kind, poison, seed) in (("signal", signal), ("noise", noise)):
+                path = Path(tmp) / f"{flag}.npy"
+                np.save(path, _record_array(shape, kind, poison, seed))
+                argv += [f"--{flag}", path]
+            argv += ["--center"] if center else []
+            argv += [] if shift is None else [f"--dn-override={shift!r}"]
+            assert run_cli(*argv) in (0, 2, 3)
 
 
 class TestDetect:
@@ -573,6 +641,15 @@ class TestDetect:
         weird.write_bytes(b"\x00")
         assert run_cli("detect", "--signal", weird, "--noise", zpath) == 2
         assert "unsupported records format" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # the cast to float warns as it drops the imaginary part
+    def test_complex_records_exit_two(self, tmp_path, capsys):
+        xpath, zpath = self.make_records(tmp_path)
+        np.save(xpath, np.load(xpath) + 1j)
+        assert run_cli("detect", "--signal", xpath, "--noise", zpath) == 2
+        captured = capsys.readouterr()
+        assert "must be a real matrix" in captured.err
+        assert captured.out == ""
 
 
 class TestBlasDeterminism:

@@ -13,11 +13,9 @@ from spikedfisher import (
     SpikeSpec,
     clt_constants,
     critical_interval,
-    draw_fluctuation_matrix,
     moment_values,
     phi,
     phi_small_y_reduction,
-    projection_variance,
     sample_limit_batch,
     spike_limit,
     support_edges,
@@ -234,38 +232,11 @@ class TestCLTConstants:
         direction = np.array([0.0, 1.0, 0.0])
         for v4 in (3.0, 1.0):
             consts = clt_constants(REFERENCE, 20.0, v4)
-            assert projection_variance(REFERENCE, 20.0, direction, v4) == pytest.approx(
-                consts.sigma_sq, rel=1e-12
-            )
+            assert consts.projection_variance(direction) == pytest.approx(consts.sigma_sq, rel=1e-12)
 
     def test_projection_variance_requires_unit_vector(self):
         with pytest.raises(ParameterError):
-            projection_variance(REFERENCE, 20.0, np.array([1.0, 1.0]))
-
-
-class TestFluctuationMatrix:
-    def test_symmetry_and_shape(self):
-        single = draw_fluctuation_matrix(123, REFERENCE, 20.0, dim=4)
-        assert single.shape == (4, 4)
-        np.testing.assert_array_equal(single, single.T)
-        batch = draw_fluctuation_matrix(123, REFERENCE, 20.0, dim=3, size=7)
-        assert batch.shape == (7, 3, 3)
-        np.testing.assert_array_equal(batch, np.swapaxes(batch, 1, 2))
-
-    @pytest.mark.parametrize("v4", [3.0, 1.0])
-    def test_entry_variances(self, v4):
-        consts = clt_constants(REFERENCE, 20.0, v4)
-        batch = draw_fluctuation_matrix(5, REFERENCE, 20.0, dim=2, fourth_moment=v4, size=200_000)
-        diag_var = 2.0 * consts.theta + (v4 - 3.0) * consts.omega
-        assert batch[:, 0, 0].var() == pytest.approx(diag_var, rel=0.05)
-        assert batch[:, 1, 1].var() == pytest.approx(diag_var, rel=0.05)
-        assert batch[:, 0, 1].var() == pytest.approx(consts.theta, rel=0.05)
-        assert abs(batch[:, 0, 0].mean()) < 0.05 * math.sqrt(diag_var)
-
-    def test_determinism(self):
-        a = draw_fluctuation_matrix(99, REFERENCE, 0.2, dim=3, size=5)
-        b = draw_fluctuation_matrix(99, REFERENCE, 0.2, dim=3, size=5)
-        np.testing.assert_array_equal(a, b)
+            clt_constants(REFERENCE, 20.0).projection_variance(np.array([1.0, 1.0]))
 
 
 class TestLimitSampler:
@@ -284,6 +255,48 @@ class TestLimitSampler:
 
     def test_empty_spec(self):
         assert sample_limit_batch(1, REFERENCE, SpikeSpec(), size=3) == []
+
+    @staticmethod
+    def replay(seed, spec, v4, size):
+        """The limit draws, with each R drawn as a stand-alone matrix sampler would.
+
+        Per spike: a fresh symmetric R with diagonal variance
+        2 theta + (v4 - 3) omega and off-diagonal variance theta, diagonal
+        drawn first, then the upper triangle row by row; then -U^T R U / delta.
+        """
+        rng = np.random.default_rng(seed)
+        m = spec.rank
+        out = []
+        for i, (value, mult) in enumerate(spec.spikes):
+            consts = clt_constants(REFERENCE, value, v4)
+            diag_var = 2.0 * consts.theta + (v4 - 3.0) * consts.omega
+            r = np.zeros((size, m, m))
+            r[:, np.arange(m), np.arange(m)] = rng.normal(0.0, math.sqrt(diag_var), (size, m))
+            if m > 1:
+                rows, cols = np.triu_indices(m, k=1)
+                upper = rng.normal(0.0, math.sqrt(consts.theta), (size, rows.size))
+                r[:, rows, cols] = upper
+                r[:, cols, rows] = upper
+            u = spec.block_columns(i)
+            projected = -np.einsum("mj,smn,nk->sjk", u, r, u, optimize=True) / consts.delta
+            out.append(projected[:, :1, 0] if mult == 1 else np.linalg.eigvalsh(projected)[:, ::-1])
+        return out
+
+    @pytest.mark.parametrize("v4", [3.0, 1.0])
+    @pytest.mark.parametrize("basis", ["identity", "rotated", "rank-one"])
+    def test_replays_fluctuation_matrices(self, basis, v4):
+        spec = {
+            "identity": self.SPEC,
+            "rotated": SpikeSpec(
+                self.SPEC.spikes, np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+            ),
+            "rank-one": SpikeSpec(((0.1, 1),)),
+        }[basis]
+        drawn = sample_limit_batch(np.random.default_rng(31), REFERENCE, spec, v4, size=7)
+        expected = self.replay(31, spec, v4, 7)
+        assert len(drawn) == len(expected) == len(spec.spikes)
+        for got, want in zip(drawn, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_rotation_of_simple_block_changes_nothing_statistically(self):
         # v4 = 3 kills the quartic term, so any orthonormal basis must give
@@ -316,5 +329,5 @@ class TestLimitSampler:
         assert draws.shape == (1_000_000, 2)
         for j, (value, _) in enumerate(spec.spikes):
             direction = spec.block_columns(j)[:, 0]
-            target = projection_variance(REFERENCE, value, direction, v4)
+            target = clt_constants(REFERENCE, value, v4).projection_variance(direction)
             assert draws[:, j].var() == pytest.approx(target, rel=0.01)
