@@ -74,7 +74,11 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if all(isinstance(v, float) for v in row):
+                # One %-format per row writes what _fmt would; a float needs no quoting.
+                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: Path, payload) -> None:

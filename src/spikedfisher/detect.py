@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError, require_real
 from .sampling import ModelDims, _gram_pencil
-from .wachter import FisherParams, critical_interval, support_edges
+from .wachter import FisherParams, support_edges
 
 __all__ = [
     "SignalModel",
@@ -48,7 +48,6 @@ __all__ = [
     "records_spectrum",
     "detect",
     "effective_spikes",
-    "detectability",
     "standard_mixing",
     "block_noise_model",
     "equicorrelated_model",
@@ -61,13 +60,18 @@ _TW1_Q95 = 0.9793
 
 
 def finite_matrix(mat, label: str) -> np.ndarray:
-    """The matrix rule of models and records: real, numeric, 2-d, all entries finite."""
+    """The matrix rule of models and records: real numbers (not bools), 2-d, all entries finite.
+
+    Only integer and float dtypes pass: a cast to float would drop a complex
+    part, and would read strings or a structured array as if they were numbers.
+    """
     try:
-        if np.iscomplexobj(mat):  # a cast to float would drop the imaginary part
-            raise TypeError
-        mat = np.asarray(mat, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{label} must be a real matrix with rows of equal length") from None
+        mat = np.asarray(mat)
+    except (TypeError, ValueError):  # rows of unequal length
+        mat = None
+    if mat is None or mat.dtype.kind not in "iuf":
+        raise ParameterError(f"{label} must be a real matrix with rows of equal length")
+    mat = mat.astype(float, copy=False)
     if mat.ndim != 2:
         raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -312,16 +316,6 @@ def effective_spikes(model: SignalModel) -> np.ndarray:
             stacklevel=2,
         )
     return vals
-
-
-def detectability(model: SignalModel, params: FisherParams) -> int:
-    """Number of signals whose effective spike detaches from the bulk.
-
-    Counts effective spikes with value + 1 strictly above the critical
-    interval; the detector is consistent exactly when this equals k.
-    """
-    _, high = critical_interval(params)
-    return int(np.count_nonzero(effective_spikes(model) + 1.0 > high))
 
 
 def standard_mixing(p: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import ndtr
 
 from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
 from .errors import ParameterError, require_count
@@ -386,6 +386,8 @@ def summarize(
         ref_var = variance
     if not (math.isfinite(ref_var) and ref_var > 0.0):
         raise ParameterError(f"reference variance must be positive, got {ref_var}")
-    cdf = scipy_stats.norm(loc=ref_mean, scale=math.sqrt(ref_var)).cdf
-    ks = float(scipy_stats.kstest(arr, cdf).statistic)
+    # The KS statistic as scipy.stats.kstest computes it, bit for bit.
+    cdf = ndtr((np.sort(arr) - ref_mean) / math.sqrt(ref_var))
+    steps = np.arange(arr.size + 1.0) / arr.size
+    ks = float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
     return SummaryStats(mean=mean, variance=variance, ks_distance=ks)

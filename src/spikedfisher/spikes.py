@@ -42,7 +42,6 @@ __all__ = [
     "CLTConstants",
     "phi",
     "spike_limit",
-    "phi_small_y_reduction",
     "clt_constants",
     "sample_limit_batch",
 ]
@@ -201,23 +200,6 @@ def spike_limit(params: FisherParams, a: float) -> float:
         return phi(params, a)
     edges = support_edges(params)
     return edges.upper if a > 1.0 else edges.lower
-
-
-def phi_small_y_reduction(c: float, x: float) -> float:
-    """Small-y limit of the transition map: x + c x / (x - 1).
-
-    As y -> 0 the Fisher ensemble degenerates to a one-sample spiked
-    covariance model and phi collapses to its classical transition map.
-
-    Raises:
-        ParameterError: if c <= 0 or x == 1 (pole of the reduced map).
-    """
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"ratio c must be finite and positive, got {c}")
-    x = require_real(x, "spike value")
-    if x == 1.0:
-        raise ParameterError("reduced transition map has a pole at 1")
-    return x + c * x / (x - 1.0)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,12 @@ with support edges
 
 plus a point mass 1 - 1/c at the origin when c > 1 (S1 is then rank
 deficient).  This module evaluates the law in closed form: density, support,
-point mass, the Stieltjes transform
+point mass and the Stieltjes transform
 
-    s(z) = int (x - z)^{-1} dF_{c,y}(x),
+    s(z) = int (x - z)^{-1} dF_{c,y}(x).
 
-the companion transform of the weighted law y + y x dF, and the weighted
-resolvent moments that drive the outlier CLT.  Every closed form can be
-cross-checked against the defining integral through the quadrature helper
-`integrate_against_density`.
+The test suite checks each closed form against its defining integral by
+quadrature.
 """
 
 from __future__ import annotations
@@ -34,22 +32,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError, require_real
 
 __all__ = [
     "FisherParams",
     "SupportEdges",
-    "MomentValues",
     "support_edges",
     "critical_interval",
     "mass_at_zero",
     "density",
     "stieltjes",
-    "companion_stieltjes",
-    "moment_values",
-    "integrate_against_density",
 ]
 
 
@@ -213,104 +206,3 @@ def stieltjes(params: FisherParams, z: float) -> float:
     num = _numerator(params, z)
     c, y = params.c, params.y
     return 1.0 / (z * c) - 1.0 / z - num / (2.0 * z * c * (c + z * y))
-
-
-def companion_stieltjes(params: FisherParams, z: float) -> float:
-    """Companion transform of the weighted measure y 1_{x>0} + y x dF_{c,y}(x).
-
-    Satisfies the exact relation companion(z) + (1 - c)/z = c * s(z) and the
-    quadratic z(c + zy) m^2 + (c(z(1-y)+1-c) + 2zy) m + (c + y - cy) = 0.
-    Same domain as `stieltjes`; the closed form has a removable singularity
-    at z = -c/y, rejected exactly and inaccurate in a small neighborhood.
-    """
-    num = _numerator(params, z)
-    c, y = params.c, params.y
-    return -num / (2.0 * z * (c + z * y))
-
-
-@dataclass(frozen=True)
-class MomentValues:
-    """Weighted resolvent moments of the bulk law at an outlier location.
-
-    All five integrals are taken against the full law dF (point mass
-    included) at an evaluation point `lam` strictly outside the support,
-    with the gap written g(x) = lam - x:
-
-        stieltjes    int 1   / (x - lam) dF(x)
-        inv_gap_sq   int 1   / g(x)^2    dF(x)
-        x_gap        int x   / g(x)      dF(x)
-        x_gap_sq     int x   / g(x)^2    dF(x)
-        xx_gap_sq    int x^2 / g(x)^2    dF(x)
-    """
-
-    stieltjes: float
-    inv_gap_sq: float
-    x_gap: float
-    x_gap_sq: float
-    xx_gap_sq: float
-
-
-def moment_values(params: FisherParams, a: float) -> MomentValues:
-    """Closed-form moments at lam = phi(a), the outlier location of spike a.
-
-    Valid for a strictly super- or sub-critical spike (strictly outside the
-    closed critical interval); there lam keeps a positive distance from the
-    bulk and every integral below converges.  With D = a^2 (y - 1) + 2a +
-    c - 1 the five moments reduce to rational functions of (a, c, y).
-
-    Raises:
-        ParameterError: if a <= 0, a == 1, or a is not strictly outside the
-            critical interval.
-    """
-    a = require_detached(params, a)
-    c, y = params.c, params.y
-    am1 = a - 1.0
-    apc = a + c - 1.0
-    top = a * (y - 1.0) + 1.0
-    dd = -1.0 + 2.0 * a + c + a * a * (y - 1.0)
-    s_val = top / (am1 * apc)
-    m1 = top * top * (-1.0 + 2.0 * a + a * a * (y - 1.0) + y * (c - 1.0)) / (
-        am1 * am1 * apc * apc * dd
-    )
-    m2 = 1.0 / am1
-    m3 = -top * top / (am1 * am1 * dd)
-    m4 = (-1.0 + 2.0 * a + c + a * a * (-1.0 + c * (y - 1.0))) / (am1 * am1 * dd)
-    return MomentValues(stieltjes=s_val, inv_gap_sq=m1, x_gap=m2, x_gap_sq=m3, xx_gap_sq=m4)
-
-
-def integrate_against_density(params: FisherParams, func) -> float:
-    """Quadrature of int func(x) f_{c,y}(x) dx over the continuous part.
-
-    Substituting x = lower + (upper - lower) sin^2(theta) removes the
-    square-root edge singularities, so smooth integrands converge to near
-    machine accuracy.  The point mass at the origin is NOT included; add
-    `mass_at_zero(params) * func(0.0)` for moments of the full law.
-
-    Args:
-        func: callable mapping a float inside the support to a float.
-
-    Returns:
-        The integral, with quadrature tolerance around 1e-12.
-    """
-    edges = support_edges(params)
-    span = edges.upper - edges.lower
-    c, y = params.c, params.y
-    pref = (1.0 - y) / (2.0 * math.pi)
-
-    if edges.lower == 0.0:
-        # c == 1 exactly: the 1/x pole cancels against sin^2 from the pullback.
-        def integrand(theta: float) -> float:
-            x = span * math.sin(theta) ** 2
-            return func(x) * pref * 2.0 * span * math.cos(theta) ** 2 / (c + x * y)
-
-    else:
-
-        def integrand(theta: float) -> float:
-            x = edges.lower + span * math.sin(theta) ** 2
-            jac = span * span * math.sin(2.0 * theta) ** 2 / 2.0
-            return func(x) * pref * jac / (x * (c + x * y))
-
-    val, _ = integrate.quad(
-        integrand, 0.0, math.pi / 2.0, limit=400, epsabs=1e-13, epsrel=1e-12
-    )
-    return val

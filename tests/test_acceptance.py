@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spikedfisher import (
     GAUSSIAN,
@@ -29,9 +30,7 @@ from spikedfisher import (
     critical_interval,
     ensure_generator,
     equicorrelated_model,
-    integrate_against_density,
     mass_at_zero,
-    moment_values,
     null_model,
     phi,
     run_clt_study,
@@ -39,11 +38,11 @@ from spikedfisher import (
     sample_limit_batch,
     sample_spectrum,
     stieltjes,
-    companion_stieltjes,
     stream_generator,
     summarize,
     support_edges,
 )
+from oracles import companion_stieltjes, integrate_against_density, moment_values
 from spikedfisher.cli import main as cli_main
 
 SEED = 20260822
@@ -342,3 +341,29 @@ def test_11_thread_determinism(tmp_path):
             for other in outs[1:]:
                 assert (other / name).read_bytes() == reference, f"{command}/{name}"
         print(f"{command}: {len(names)} files byte-identical across 1, 4, 8 threads")
+
+
+def test_12_double_packet_spacing(gauss_study, rademacher_study, general_basis_study):
+    """The (0.2, 2) packet keeps the shape of its limit: the spectrum of a 2 x 2 Gaussian matrix.
+
+    Each spacing l_(1) - l_(2), empirical and limit, is divided by its own
+    sample mean, so the test reads the shape of the law and leaves its
+    finite-p location and scale aside (docs/decisions.md).
+    """
+    gate = 0.0728  # two-sample KS at alpha = 0.01, 1000 against 1000
+    spacings = {}
+    for name, study in (
+        ("gaussian", gauss_study),
+        ("rademacher", rademacher_study),
+        ("rotated basis", general_basis_study),
+    ):
+        emp, lim = (s[:, 0] - s[:, 1] for s in (study.empirical[1], study.limit[1]))
+        spacings[name] = emp / emp.mean()
+        ks = stats.ks_2samp(spacings[name], lim / lim.mean()).statistic
+        print(f"{name}: scale-free spacing KS {ks:.4f} (gate {gate})")
+        assert ks < gate
+    # Two independent equal-variance Gaussians space half-normally; mean 1 after scaling.
+    half_normal = stats.halfnorm(scale=math.sqrt(math.pi / 2.0)).cdf
+    ks_half = stats.kstest(spacings["gaussian"], half_normal).statistic
+    print(f"gaussian: KS to the half-normal spacing {ks_half:.4f}")
+    assert ks_half > gate

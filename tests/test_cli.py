@@ -23,6 +23,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def package_env():
+    """The environment of a child interpreter that imports this package's source."""
+    env = dict(os.environ)
+    src = str(Path(spikedfisher.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -651,6 +659,73 @@ class TestDetect:
         assert "must be a real matrix" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "recast",
+        [lambda x: x.astype(str), lambda x: x.astype([("v", float)]), lambda x: x > 0.0],
+        ids=["string", "one-field-structured", "bool"],
+    )
+    def test_non_numeric_records_exit_two(self, tmp_path, capsys, recast):
+        xpath, zpath = self.make_records(tmp_path)
+        np.save(xpath, recast(np.load(xpath)))
+        assert run_cli("detect", "--signal", xpath, "--noise", zpath) == 2
+        captured = capsys.readouterr()
+        assert "must be a real matrix" in captured.err
+        assert captured.out == ""
+
+
+class TestImportPath:
+    """The command line loads numpy, scipy.linalg and scipy.special, and nothing later.
+
+    Each check runs in a fresh interpreter: inside the test session other
+    tests have loaded scipy.stats and scipy.integrate already, so a late
+    import of either would go unseen here.
+    """
+
+    @staticmethod
+    def fresh_python(code, cwd):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_skips_stats_integrate_optimize(self, tmp_path):
+        loaded = self.fresh_python(
+            "import json, sys, spikedfisher.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
+        )
+        for name in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+            assert name not in loaded
+
+    def test_threaded_studies_import_nothing(self, tmp_path):
+        clt = write_clt_config(tmp_path / "clt.json", replicates=4, kde_points=5)
+        det = write_detect_config(tmp_path / "det.json", replicates=4)
+        code = f"""
+import json, sys
+import spikedfisher.cli as cli
+before = set(sys.modules)
+for argv in (
+    ["simulate-clt", "--config", {str(clt)!r}, "--out-dir", "clt", "--threads", "2"],
+    ["detect-study", "--config", {str(det)!r}, "--out-dir", "det", "--threads", "2"],
+):
+    assert cli.main(argv) == 0
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+        assert self.fresh_python(code, tmp_path) == []
+
+    def test_ks_distance_matches_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(12)
+        for k in range(300):
+            size = 2 + k % 7 if k < 60 else int(rng.integers(2, 500))
+            x = rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0), size)
+            # Odd k: the reference defaults to the sample's own normal.
+            ref = (None, None) if k % 2 else (0.5, 2.0)
+            m, v = (float(x.mean()), float(x.var(ddof=1))) if k % 2 else ref
+            expected = stats.kstest(x, stats.norm(loc=m, scale=math.sqrt(v)).cdf).statistic
+            assert spikedfisher.summarize(x, *ref).ks_distance == expected, (size, k)
+
 
 class TestBlasDeterminism:
     """Output bytes do not depend on the BLAS thread setting of the machine.
@@ -661,12 +736,10 @@ class TestBlasDeterminism:
 
     @staticmethod
     def run_all(tmp_path, blas, inputs):
-        env = dict(os.environ)
+        env = package_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if blas is not None:
             env["OPENBLAS_NUM_THREADS"] = blas
-        src = str(Path(spikedfisher.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"blas-{blas}"
         out.mkdir()
         commands = [

@@ -15,7 +15,6 @@ from spikedfisher import (
     block_noise_model,
     critical_interval,
     detect,
-    detectability,
     effective_spikes,
     ensure_generator,
     equicorrelated_model,
@@ -25,6 +24,7 @@ from spikedfisher import (
     standard_mixing,
     support_edges,
 )
+from oracles import detectability
 from spikedfisher.cli import main as cli_main
 
 

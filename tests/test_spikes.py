@@ -13,13 +13,12 @@ from spikedfisher import (
     SpikeSpec,
     clt_constants,
     critical_interval,
-    moment_values,
     phi,
-    phi_small_y_reduction,
     sample_limit_batch,
     spike_limit,
     support_edges,
 )
+from oracles import moment_values, phi_small_y_reduction
 
 REFERENCE = FisherParams(c=0.2, y=0.5)
 

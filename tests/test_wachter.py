@@ -8,14 +8,12 @@ import pytest
 from spikedfisher import (
     FisherParams,
     ParameterError,
-    companion_stieltjes,
     density,
-    integrate_against_density,
     mass_at_zero,
-    moment_values,
     stieltjes,
     support_edges,
 )
+from oracles import companion_stieltjes, integrate_against_density, moment_values
 
 REFERENCE = FisherParams(c=0.2, y=0.5)
 
