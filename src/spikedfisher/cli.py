@@ -43,16 +43,23 @@ from .detect import (
     block_noise_model,
     equicorrelated_model,
     estimate_count,
-    finite_matrix,
     null_model,
     records_spectrum,
 )
-from .errors import NumericalError, ParameterError, require_buffer, require_count, require_real
+from .errors import (
+    NumericalError,
+    ParameterError,
+    finite_matrix,
+    require_buffer,
+    require_count,
+    require_real,
+)
 from .experiments import (
     CltConfig,
     DetectionConfig,
     kde_1d,
     kde_2d,
+    require_replicates,
     run_clt_study,
     run_detection_study,
     summarize,
@@ -69,16 +76,23 @@ def _fmt(value) -> str:
     return format(float(value), ".17g") if isinstance(value, (float, np.floating)) else str(value)
 
 
+# Rows formatted by one %-operation; bounds the temporaries of a long float table.
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows: a 2-d float array, or rows of mixed values through `_fmt`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            if all(isinstance(v, float) for v in row):
-                # One %-format per row writes what _fmt would; a float needs no quoting.
-                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
-            else:
-                writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray):
+            # "%.17g" writes what _fmt would, and a float needs no quoting.
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
+                block = rows[start : start + _CSV_BLOCK_ROWS]
+                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        else:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -185,7 +199,7 @@ _CLT_FIELDS = {
     "spikes": (_REQUIRED, lambda v: SpikeSpec(spikes=v)),
     "basis": (None, lambda v: v),  # checked against the spikes by SpikeSpec below
     "distribution": ("gaussian", EntryDistribution),
-    "replicates": (_REQUIRED, lambda v: require_count(v, "replicates", CltConfig.MIN_REPLICATES)),
+    "replicates": (_REQUIRED, lambda v: require_replicates(v, CltConfig.MIN_REPLICATES)),
     "seed": (_REQUIRED, require_seed),
     "kde_points": (101, _kde_points),
     "outputs": (list(_OUTPUTS), _outputs),
@@ -235,7 +249,7 @@ _DETECT_FIELDS = {
     "ladder": (_REQUIRED, _ladder),
     "model": (_REQUIRED, _model),
     "distribution": ("gaussian", EntryDistribution),
-    "replicates": (_REQUIRED, lambda v: require_count(v, "replicates", DetectionConfig.MIN_REPLICATES)),
+    "replicates": (_REQUIRED, lambda v: require_replicates(v, DetectionConfig.MIN_REPLICATES)),
     "seed": (_REQUIRED, require_seed),
     "dn_override": (None, lambda v: DetectorConfig(shift=v)),
 }
@@ -262,7 +276,7 @@ def cmd_law(args) -> int:
 
     out = _out_dir(args)
     grid = np.linspace(x_min, x_max, args.points)
-    _write_csv(out / "law.csv", ["x", "density"], zip(grid, density(params, grid)))
+    _write_csv(out / "law.csv", ["x", "density"], np.column_stack([grid, density(params, grid)]))
     low, high = critical_interval(params)
     _write_json(
         out / "summary.json",
@@ -363,7 +377,7 @@ def cmd_simulate_clt(args) -> int:
                 dens = [kde_2d(sample, *grids).ravel() for sample in (emp, lim)]
             # Rows run over the first grid, then the second: the C order of the surfaces.
             lattice = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
-            table = np.column_stack(lattice + dens).tolist()
+            table = np.column_stack(lattice + dens)
             _write_csv(out / name, coords + ["empirical_density", "limit_density"], table)
             written.append(name)
 

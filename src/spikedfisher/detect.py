@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_real
+from .errors import ParameterError, finite_matrix, require_real
 from .sampling import ModelDims, _gram_pencil
 from .wachter import FisherParams, support_edges
 
@@ -57,26 +57,6 @@ __all__ = [
 _SYM_RTOL = 1e-8
 # 95% quantile of the Tracy-Widom law for real data (beta = 1).
 _TW1_Q95 = 0.9793
-
-
-def finite_matrix(mat, label: str) -> np.ndarray:
-    """The matrix rule of models and records: real numbers (not bools), 2-d, all entries finite.
-
-    Only integer and float dtypes pass: a cast to float would drop a complex
-    part, and would read strings or a structured array as if they were numbers.
-    """
-    try:
-        mat = np.asarray(mat)
-    except (TypeError, ValueError):  # rows of unequal length
-        mat = None
-    if mat is None or mat.dtype.kind not in "iuf":
-        raise ParameterError(f"{label} must be a real matrix with rows of equal length")
-    mat = mat.astype(float, copy=False)
-    if mat.ndim != 2:
-        raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ParameterError(f"{label} contains non-finite values")
-    return mat
 
 
 def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:

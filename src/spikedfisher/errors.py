@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the count, size and number rules.
+"""Error types shared across the package, and the count, size, number and matrix rules.
 
 Two failure classes are distinguished so that callers (and the command line
 front end) can map them to different exit codes: bad inputs versus numerical
@@ -7,6 +7,8 @@ breakdown at valid inputs.
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = ["ParameterError", "NumericalError"]
 
@@ -45,3 +47,26 @@ def require_real(value, label: str) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ParameterError(f"{label} must be a finite number, got {value!r}")
+
+
+def finite_matrix(mat, label: str) -> np.ndarray:
+    """The matrix rule of models, records and spike bases.
+
+    A matrix passes if it holds real numbers (not bools), is 2-d, and every
+    entry is finite.
+
+    Only integer and float dtypes pass: a cast to float would drop a complex
+    part, and would read strings or a structured array as if they were numbers.
+    """
+    try:
+        mat = np.asarray(mat)
+    except (TypeError, ValueError):  # rows of unequal length
+        mat = None
+    if mat is None or mat.dtype.kind not in "iuf":
+        raise ParameterError(f"{label} must be a real matrix with rows of equal length")
+    mat = mat.astype(float, copy=False)
+    if mat.ndim != 2:
+        raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ParameterError(f"{label} contains non-finite values")
+    return mat

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
-from .errors import ParameterError, require_count
+from .errors import ParameterError, require_buffer, require_count
 from .randomness import require_seed, stream_generator
 from .sampling import (
     EntryDistribution,
@@ -61,11 +61,22 @@ _DETECT_STREAM = 3
 COUNT_BIN_LABELS = ("0", "1", "2", "3", "4", "5+")
 
 
+def require_replicates(value, minimum: int) -> int:
+    """A replicate count of at least `minimum` that passes the size rule.
+
+    A study keeps one result per replicate, so a count beyond the rule is
+    rejected before anything is allocated.
+    """
+    replicates = require_count(value, "replicates", minimum)
+    require_buffer((replicates,), "replicates")
+    return replicates
+
+
 def _check_study(config) -> None:
     """The rules both study configs share: entry law, replicates, seed."""
     if not isinstance(config.dist, EntryDistribution):
         raise ParameterError(f"dist must be an EntryDistribution, got {config.dist!r}")
-    replicates = require_count(config.replicates, "replicates", config.MIN_REPLICATES)
+    replicates = require_replicates(config.replicates, config.MIN_REPLICATES)
     object.__setattr__(config, "replicates", replicates)
     object.__setattr__(config, "master_seed", require_seed(config.master_seed))
 

@@ -23,6 +23,9 @@ Two paths give it, each with its own stream order:
 BLAS threading changes the rounding of both the Grams and the pencil, so
 `_one_blas_thread` runs BLAS on one thread while a command or a replicate
 loop is in progress; replicates parallelize through worker threads instead.
+Those threads overlap because a replicate's LAPACK routines (dtrtrs and
+dsyevr on the Bartlett path, dsygvd for the pencil) are called through
+ctypes, which releases the GIL, with the arguments scipy.linalg would pass.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg
+from scipy.linalg import cython_lapack
 
 from .errors import NumericalError, ParameterError, require_buffer, require_count
 from .randomness import ensure_generator
@@ -134,22 +137,83 @@ class ModelDims:
         return FisherParams(c=self.c_p, y=self.y_p)
 
 
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def _lapack_routine(name: str, nargs: int):
+    """A LAPACK routine of scipy's own build, called through ctypes.
+
+    `scipy.linalg.cython_lapack` exports each routine as a capsule holding a
+    C function whose arguments are all pointers.  A ctypes foreign call
+    releases the GIL, so worker threads overlap inside LAPACK; scipy's f2py
+    wrappers hold it for the whole call.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+_dtrtrs = _lapack_routine("dtrtrs", 10)
+_dsyevr = _lapack_routine("dsyevr", 21)
+_dsygvd = _lapack_routine("dsygvd", 14)
+
+
+def _int(value: int):
+    """A pointer to a fresh C int holding `value` (LAPACK takes every argument by reference)."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _require_finite(label: str, *arrays: np.ndarray) -> None:
+    """Reject non-finite entries before LAPACK sees them, as scipy's check_finite did."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{label} has non-finite entries")
+
+
+def _check_info(routine: str, info: ctypes.c_int) -> None:
+    if info.value != 0:
+        raise NumericalError(f"LAPACK {routine} failed (info = {info.value})")
+
+
 def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of the definite pencil (S1, S2).
 
+    Both inputs are copied (LAPACK's dsygvd overwrites them) and read from
+    their lower triangles, as `scipy.linalg.eigh(s1, s2, eigvals_only=True)`
+    reads them, with the same bits.
+
     Raises:
+        ParameterError: unless S1 and S2 are square matrices of one shape.
         NumericalError: if S2 is not numerically positive definite, which
-            makes the Fisher matrix undefined, or an entry overflowed.
+            makes the Fisher matrix undefined, or an entry is not finite.
     """
-    try:
-        vals = scipy.linalg.eigh(s1, s2, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    a = np.array(s1, dtype=float, order="F")
+    b = np.array(s2, dtype=float, order="F")
+    n = a.shape[0] if a.ndim == 2 else -1
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ParameterError(
+            f"the pencil needs two square matrices of one shape, got {a.shape} and {b.shape}"
+        )
+    _require_finite("the pencil", a, b)
+    vals = np.empty(n)
+    # The workspace scipy passes: a larger lwork runs a faster path with other bits.
+    lwork = 2 * n + 1
+    work, iwork, info = np.empty(lwork), np.empty(1, dtype=np.intc), ctypes.c_int()
+    _dsygvd(
+        _int(1), b"N", b"L", _int(n), a.ctypes.data, _int(max(1, n)), b.ctypes.data,
+        _int(max(1, n)), vals.ctypes.data, work.ctypes.data, _int(lwork),
+        iwork.ctypes.data, _int(1), ctypes.byref(info),
+    )
+    if info.value > n:
         raise NumericalError(
-            "noise covariance estimate is numerically singular; the Fisher "
-            f"matrix is undefined ({exc})"
-        ) from exc
-    except ValueError as exc:
-        raise NumericalError(f"the pencil has non-finite entries ({exc})") from exc
+            "noise covariance estimate is numerically singular; the Fisher matrix is undefined "
+            f"(leading minor of order {info.value - n} is not positive definite)"
+        )
+    _check_info("dsygvd", info)
     return vals[::-1].copy()
 
 
@@ -247,14 +311,57 @@ def _spiked(x: np.ndarray, spec: SpikeSpec) -> np.ndarray:
     return np.concatenate([block_root @ x[:m], x[m:]], axis=0)
 
 
+def _solve_lower(l2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L2^{-1} X for a lower-triangular L2: `solve_triangular(l2, x, lower=True)`, Fortran-ordered."""
+    l2 = np.ascontiguousarray(l2, dtype=float)
+    b = np.array(x, dtype=float, order="F")
+    _require_finite("the whitened signal", l2, b)
+    p, k = b.shape
+    info = ctypes.c_int()
+    # Fortran reads the C-ordered L2 as the upper-triangular L2^T: solve (L2^T)^T B = X.
+    _dtrtrs(
+        b"U", b"T", b"N", _int(p), _int(k), l2.ctypes.data, _int(p), b.ctypes.data, _int(p),
+        ctypes.byref(info),
+    )
+    _check_info("dtrtrs", info)
+    return b
+
+
+def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly symmetric C-ordered matrix, overwriting it.
+
+    The call `scipy.linalg.eigvalsh` makes: dsyevr on the lower triangle with
+    the workspace its size query gives (the fixed minimum 26n has other bits).
+    Exact symmetry lets LAPACK read the C-ordered matrix as its own transpose.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    _require_finite("the whitened signal's Gram", a)
+    n = a.shape[0]
+    vals, found = np.empty(n), ctypes.c_int()
+    z, isuppz, info = np.empty(1), np.empty(2 * n, dtype=np.intc), ctypes.c_int()
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        _dsyevr(
+            b"N", b"A", b"L", _int(n), a.ctypes.data, _int(n),
+            ctypes.byref(ctypes.c_double(0.0)), ctypes.byref(ctypes.c_double(1.0)),
+            _int(1), _int(n), ctypes.byref(ctypes.c_double(0.0)), ctypes.byref(found),
+            vals.ctypes.data, z.ctypes.data, _int(1), isuppz.ctypes.data,
+            work.ctypes.data, _int(lwork), iwork.ctypes.data, _int(liwork), ctypes.byref(info),
+        )
+        _check_info("dsyevr", info)
+
+    sizes = np.empty(1), np.empty(1, dtype=np.intc)
+    call(*sizes, -1, -1)  # the workspace query
+    lwork, liwork = int(sizes[0][0]), int(sizes[1][0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
+    return vals
+
+
 def _bartlett_spectrum(x: np.ndarray, l2: np.ndarray, dims: ModelDims) -> np.ndarray:
     """Descending eigenvalues of B B^T n/T with B = L2^{-1} X (lower-triangular L2)."""
-    try:
-        b = scipy.linalg.solve_triangular(l2, x, lower=True)
-        vals = scipy.linalg.eigvalsh(b @ b.T)
-    except ValueError as exc:
-        raise NumericalError(f"the whitened signal has non-finite entries ({exc})") from exc
-    return vals[::-1] * (dims.n / dims.T)
+    b = _solve_lower(l2, x)
+    # b @ b.T is exactly symmetric (numpy forms it with syrk), so it needs no Fortran copy.
+    return _symmetric_eigenvalues(b @ b.T)[::-1] * (dims.n / dims.T)
 
 
 def sample_spectrum(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, require_count, require_real
+from .errors import NumericalError, ParameterError, finite_matrix, require_count, require_real
 from .randomness import ensure_generator
 from .wachter import (
     FisherParams,
@@ -95,10 +95,7 @@ class SpikeSpec:
 
         if self.basis is not None:
             m = self.rank
-            try:
-                basis = np.array(self.basis, dtype=float)
-            except (TypeError, ValueError):
-                raise ParameterError("basis must be a numeric matrix with rows of equal length") from None
+            basis = np.array(finite_matrix(self.basis, "basis"))  # a copy, frozen below
             if basis.shape != (m, m):
                 raise ParameterError(
                     f"basis must be {m} x {m} to match total spike multiplicity, "

@@ -349,6 +349,9 @@ class TestConfigRejections:
             ({"spikes": [["x", 1]]}, "spikes"),
             ({"spikes": [[20.0, 1.5]]}, "multiplicity"),
             ({"basis": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, "basis"),
+            # Strings and booleans are not numbers, even where a float cast would read the identity.
+            ({"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "basis"),
+            ({"basis": [[True, False, False], [False, True, False], [False, False, True]]}, "basis"),
             ({"outputs": ["plots"]}, "outputs"),
             ({"replicates": True}, "replicates"),
             # Sizes beyond the array bound, rejected before anything is allocated.
@@ -357,6 +360,7 @@ class TestConfigRejections:
             ({"dims": [100, 200, 10**7]}, "dims"),
             ({"kde_points": 10**30}, "kde_points"),
             ({"kde_points": 10**4}, "kde_points"),
+            ({"replicates": 10**30}, "replicates"),
         ],
     )
     def test_simulate_clt(self, tmp_path, capsys, overrides, field):
@@ -384,6 +388,7 @@ class TestConfigRejections:
             ({"ladder": []}, "ladder"),
             ({"ladder": [[20, 10**30, 100]]}, "ladder"),
             ({"ladder": [[20, 40, 100], [10**15, 10**15 + 1, 10]]}, "ladder"),
+            ({"replicates": 10**30}, "replicates"),
         ],
     )
     def test_detect_study(self, tmp_path, capsys, overrides, field):

@@ -1,12 +1,15 @@
 """Finite-sample spectrum simulation against structural and law oracles."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate, stats
 
-from spikedfisher import sampling
+from spikedfisher import experiments, sampling
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
@@ -274,6 +277,131 @@ class TestPencil:
         ones = np.ones((5, 5))
         with pytest.raises(NumericalError):
             pencil_eigenvalues(np.eye(5), ones)
+
+
+class TestLapackCalls:
+    """The ctypes LAPACK calls against scipy.linalg as the oracle: the same bits."""
+
+    # (p, n, T); T < p gives the dense signal factor and a singular S1.
+    SHAPES = [(1, 2, 1), (1, 3, 5), (4, 9, 2), (7, 15, 30), (40, 60, 25), (90, 200, 400)]
+
+    @pytest.mark.parametrize("p, n, t_len", SHAPES)
+    def test_bartlett_calls_match_scipy(self, p, n, t_len):
+        rng = ensure_generator(1000 * p + t_len)
+        x = sampling._spiked(sampling._wishart_factor(rng, p, t_len), SpikeSpec(((5.0, 1),)))
+        l2 = sampling._wishart_factor(rng, p, n)
+        kept = x.copy(), l2.copy()
+        b = sampling._solve_lower(l2, x)
+        expected_b = scipy.linalg.solve_triangular(l2, x, lower=True)
+        np.testing.assert_array_equal(b, expected_b)
+        assert b.flags.f_contiguous == expected_b.flags.f_contiguous
+        gram = b @ b.T
+        expected = scipy.linalg.eigvalsh(gram)
+        np.testing.assert_array_equal(sampling._symmetric_eigenvalues(gram.copy()), expected)
+        spectrum = sampling._bartlett_spectrum(x, l2, ModelDims(p, n, t_len))
+        np.testing.assert_array_equal(spectrum, expected[::-1] * (n / t_len))
+        np.testing.assert_array_equal(x, kept[0])
+        np.testing.assert_array_equal(l2, kept[1])
+
+    @pytest.mark.parametrize("p, n, t_len", SHAPES)
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    def test_pencil_matches_scipy(self, p, n, t_len, dist):
+        rng = ensure_generator(2000 * p + t_len)
+        w, z = dist.draw(rng, (p, t_len)), dist.draw(rng, (p, n))
+        s1, s2 = w @ w.T / t_len, z @ z.T / n
+        kept = s1.copy(), s2.copy()
+        expected = scipy.linalg.eigh(s1, s2, eigvals_only=True)[::-1]
+        np.testing.assert_array_equal(pencil_eigenvalues(s1, s2), expected)
+        np.testing.assert_array_equal(s1, kept[0])
+        np.testing.assert_array_equal(s2, kept[1])
+
+    def test_pencil_on_singular_rademacher_signal(self):
+        # About one binary S1 in six is singular at (3, 8, 4).
+        singular = 0
+        for seed in range(60):
+            rng = ensure_generator(seed)
+            w, z = RADEMACHER.draw(rng, (3, 4)), RADEMACHER.draw(rng, (3, 8))
+            s1, s2 = w @ w.T / 4, z @ z.T / 8
+            if np.linalg.matrix_rank(s2) < 3:
+                continue
+            singular += np.linalg.matrix_rank(s1) < 3
+            expected = scipy.linalg.eigh(s1, s2, eigvals_only=True)[::-1]
+            np.testing.assert_array_equal(pencil_eigenvalues(s1, s2), expected)
+        assert singular > 3
+
+    def test_pencil_reads_the_lower_triangles(self):
+        rng = ensure_generator(23)
+        w, z = rng.standard_normal((6, 9)), rng.standard_normal((6, 12))
+        s1 = w @ w.T + np.triu(rng.standard_normal((6, 6)), 1)
+        s2 = z @ z.T + np.triu(rng.standard_normal((6, 6)), 1)
+        expected = scipy.linalg.eigh(s1, s2, eigvals_only=True)[::-1]
+        np.testing.assert_array_equal(pencil_eigenvalues(s1, s2), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries(self, bad):
+        poisoned = np.eye(4)
+        poisoned[2, 1] = bad
+        for call in (
+            lambda: pencil_eigenvalues(poisoned, np.eye(4)),
+            lambda: pencil_eigenvalues(np.eye(4), poisoned),
+            lambda: sampling._solve_lower(poisoned, np.ones((4, 2))),
+            lambda: sampling._solve_lower(np.eye(4), poisoned),
+            lambda: sampling._symmetric_eigenvalues(poisoned),
+        ):
+            with pytest.raises(NumericalError, match="non-finite"):
+                call()
+
+    def test_indefinite_noise_matrix(self):
+        with pytest.raises(NumericalError, match="numerically singular"):
+            pencil_eigenvalues(np.eye(3), np.diag([1.0, -1.0, 2.0]))
+
+    @pytest.mark.parametrize("shapes", [((3, 3), (4, 4)), ((3, 4), (3, 4)), ((3,), (3,))])
+    def test_pencil_shapes(self, shapes):
+        with pytest.raises(ParameterError, match="square"):
+            pencil_eigenvalues(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    def test_two_workers_give_the_serial_bits(self, monkeypatch, dist):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        dims = ModelDims(p=60, n=120, T=150)
+
+        def one(rep):
+            return sample_spectrum(stream_generator(17, rep), dims, REFERENCE_SPEC, dist)
+
+        serial = experiments._map_indexed(one, 12, 1)
+        threaded = experiments._map_indexed(one, 12, 2)
+        for a, b in zip(serial, threaded, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_main_thread_runs_while_a_worker_solves(self):
+        # The solver releases the GIL: while a worker is inside it, the main
+        # thread keeps running Python without a pause as long as the solve.
+        rng = ensure_generator(29)
+        p = 600
+        w, z = rng.standard_normal((p, 2 * p)), rng.standard_normal((p, 2 * p))
+        s1, s2 = w @ w.T, z @ z.T
+        window = []
+
+        def solve():
+            start = time.perf_counter()
+            pencil_eigenvalues(s1, s2)
+            window.extend([start, time.perf_counter()])
+
+        worker = threading.Thread(target=solve)
+        pauses = []  # (start, end) of each main-thread pause above 1 ms
+        with sampling._one_blas_thread():
+            worker.start()
+            last = time.perf_counter()
+            while worker.is_alive():
+                now = time.perf_counter()
+                if now - last > 1e-3:
+                    pauses.append((last, now))
+                last = now
+            worker.join(timeout=60)
+        assert not worker.is_alive() and len(window) == 2
+        start, end = window
+        inside = [min(b, end) - max(a, start) for a, b in pauses if b > start and a < end]
+        assert max(inside, default=0.0) < 0.5 * (end - start)
 
 
 class TestOneBlasThread:
