@@ -349,9 +349,6 @@ class TestConfigRejections:
             ({"spikes": [["x", 1]]}, "spikes"),
             ({"spikes": [[20.0, 1.5]]}, "multiplicity"),
             ({"basis": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, "basis"),
-            # Strings and booleans are not numbers, even where a float cast would read the identity.
-            ({"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "basis"),
-            ({"basis": [[True, False, False], [False, True, False], [False, False, True]]}, "basis"),
             ({"outputs": ["plots"]}, "outputs"),
             ({"replicates": True}, "replicates"),
             # Sizes beyond the array bound, rejected before anything is allocated.
@@ -361,6 +358,9 @@ class TestConfigRejections:
             ({"kde_points": 10**30}, "kde_points"),
             ({"kde_points": 10**4}, "kde_points"),
             ({"replicates": 10**30}, "replicates"),
+            # Strings and booleans are not numbers, even where a float cast would read the identity.
+            ({"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "basis"),
+            ({"basis": [[True, False, False], [False, True, False], [False, False, True]]}, "basis"),
         ],
     )
     def test_simulate_clt(self, tmp_path, capsys, overrides, field):
