@@ -6,7 +6,9 @@ The public surface re-exports the `__all__` of every submodule;
 
 __version__ = "0.1.0"
 
-from . import detect, errors, experiments, randomness, sampling, spikes, wachter  # noqa: E402
+# sampling first: it opens scipy's OpenBLAS before numpy is imported.
+from . import sampling  # noqa: E402
+from . import detect, errors, experiments, randomness, spikes, wachter  # noqa: E402
 
 __all__ = ["__version__"]
 for _module in (errors, wachter, spikes, sampling, detect, experiments, randomness):

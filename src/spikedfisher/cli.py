@@ -265,10 +265,16 @@ def _detect_config(raw: dict, seed, dn_override) -> DetectionConfig:
     )
 
 
+# The largest grid `law` writes: 10**6 points take about 150 MB and 5 s, and
+# density's temporaries and the CSV grow in proportion.
+_MAX_LAW_POINTS = 10**6
+
+
 def cmd_law(args) -> int:
     params = FisherParams(c=args.c, y=args.y)
     edges = support_edges(params)
-    require_buffer((require_count(args.points, "--points", 0),), "--points")
+    if require_count(args.points, "--points", 0) > _MAX_LAW_POINTS:
+        raise ParameterError(f"--points must be at most {_MAX_LAW_POINTS}, got {args.points}")
     x_min = edges.lower if args.x_min is None else require_real(args.x_min, "--x-min")
     x_max = edges.upper if args.x_max is None else require_real(args.x_max, "--x-max")
     if args.points > 1 and not 0.0 < x_max - x_min < math.inf:

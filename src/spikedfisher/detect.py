@@ -32,7 +32,6 @@ explicit shift replaces the whole rule by the count above b + shift.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "estimate_count",
     "records_spectrum",
     "detect",
-    "effective_spikes",
     "standard_mixing",
     "block_noise_model",
     "equicorrelated_model",
@@ -273,29 +271,6 @@ def _whitened_mixing(model: SignalModel) -> np.ndarray:
     """M = Sigma2^{-1/2} A, the mixing of the whitened records (symmetric root)."""
     vals, vecs = np.linalg.eigh(model.noise_cov)
     return (vecs / np.sqrt(vals)) @ (vecs.T @ model.mixing)
-
-
-def effective_spikes(model: SignalModel) -> np.ndarray:
-    """Descending eigenvalues of A^T Sigma2^{-1} A = M^T M, the effective spikes.
-
-    These play the role of a - 1 in the spiked Fisher ensemble: signal i is
-    asymptotically detectable when effective spike + 1 clears the critical
-    interval.  A rank-deficient mixing matrix yields fewer than k nonzero
-    values; the full vector is returned as-is with a warning.
-    """
-    if model.num_signals == 0:
-        return np.zeros(0)
-    mixing = _whitened_mixing(model)
-    vals = np.linalg.eigvalsh(mixing.T @ mixing)[::-1].copy()
-    tol = 1e-12 * max(1.0, float(vals[0]))
-    nonzero = int(np.count_nonzero(vals > tol))
-    if nonzero < model.num_signals:
-        warnings.warn(
-            f"mixing matrix has numerical rank {nonzero}, below its "
-            f"{model.num_signals} columns; trailing effective spikes are zero",
-            stacklevel=2,
-        )
-    return vals
 
 
 def standard_mixing(p: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
 from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
 from .errors import ParameterError, require_buffer, require_count
@@ -109,6 +108,8 @@ class CltConfig:
             raise ParameterError("a CLT study needs a SpikeSpec with at least one spike")
         self.spec.require_fits(self.dims.p)
         _check_study(self)
+        # One row per replicate: each spike member's statistic and limit draw.
+        require_buffer((self.replicates, 2 * self.spec.rank), "the replicates table")
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,6 +365,65 @@ def kde_2d(
     return kern_x @ kern_y.T / (arr.shape[0] * h_x * h_y * 2.0 * math.pi)
 
 
+# cephes' coefficients, highest power first: erf on |x| <= 1 (T / U), erfc on
+# [1, 8) (P / Q) and beyond (R / S).  The leading 1.0 of each denominator is
+# cephes' implicit one (p1evl): 1.0 * x + c is exactly x + c.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double; erfc is 0 once x*x exceeds it
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule in cephes' order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """cephes' erf for |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """cephes' erfc for x >= 1/sqrt(2)."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if x * x > _MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal CDF as cephes' ndtr computes it: `scipy.special.ndtr`, bit for bit.
+
+    `math.exp` is libm's, as in cephes.  0.5 * math.erfc(-a / sqrt 2) differs
+    from it in the last bits at a third or more of all points.
+    """
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0.0 else y
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Location, spread, and a goodness-of-fit distance for one sample."""
@@ -398,7 +458,8 @@ def summarize(
     if not (math.isfinite(ref_var) and ref_var > 0.0):
         raise ParameterError(f"reference variance must be positive, got {ref_var}")
     # The KS statistic as scipy.stats.kstest computes it, bit for bit.
-    cdf = ndtr((np.sort(arr) - ref_mean) / math.sqrt(ref_var))
+    z = (np.sort(arr) - ref_mean) / math.sqrt(ref_var)
+    cdf = np.fromiter(map(_ndtr, z.tolist()), float, z.size)
     steps = np.arange(arr.size + 1.0) / arr.size
     ks = float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
     return SummaryStats(mean=mean, variance=variance, ks_distance=ks)

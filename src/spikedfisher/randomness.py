@@ -10,6 +10,8 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; load it with the package, not inside a study.
+import numpy.random  # noqa: F401
 
 from .errors import ParameterError
 

@@ -26,6 +26,8 @@ loop is in progress; replicates parallelize through worker threads instead.
 Those threads overlap because a replicate's LAPACK routines (dtrtrs and
 dsyevr on the Bartlett path, dsygvd for the pencil) are called through
 ctypes, which releases the GIL, with the arguments scipy.linalg would pass.
+They come from scipy's bundled OpenBLAS, so `scipy.linalg` is not imported
+unless the build bundles none (`_lapack_routines`).
 """
 
 from __future__ import annotations
@@ -34,17 +36,41 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-import scipy
-from scipy.linalg import cython_lapack
 
-from .errors import NumericalError, ParameterError, require_buffer, require_count
-from .randomness import ensure_generator
-from .spikes import SpikeSpec
-from .wachter import FisherParams
+@functools.cache
+def _openblas(package: str, pattern: str) -> ctypes.CDLL | None:
+    """The OpenBLAS bundled beside the installed `package`, or None (another BLAS build).
+
+    Looked up once: scipy's copy gives both the LAPACK routines and its
+    thread control.  `ctypes.CDLL` returns the handle the package already
+    loaded, if it did.
+    """
+    site = Path(importlib.util.find_spec(package).origin).parent.parent
+    paths = sorted(glob.glob(str(site / pattern)))
+    try:
+        return ctypes.CDLL(paths[0])
+    except (IndexError, OSError):
+        return None
+
+
+# scipy's copy, with C-int indices, serves the pencil.  It is opened before
+# numpy is imported: a freshly loaded OpenBLAS spins its pool threads for
+# about 0.13 s, which costs nothing while the import runs on one thread but
+# takes a core from a study's workers if the study starts within it.
+_SCIPY_OPENBLAS = "scipy.libs/libscipy_openblas-*.so"
+_openblas("scipy", _SCIPY_OPENBLAS)
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from .errors import NumericalError, ParameterError, require_buffer, require_count  # noqa: E402
+from .randomness import ensure_generator  # noqa: E402
+from .spikes import SpikeSpec  # noqa: E402
+from .wachter import FisherParams  # noqa: E402
 
 __all__ = [
     "EntryDistribution",
@@ -137,30 +163,52 @@ class ModelDims:
         return FisherParams(c=self.c_p, y=self.y_p)
 
 
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi)
+# (package, library glob beside the package, symbol suffix) of each bundled
+# OpenBLAS: numpy's 64-bit-integer copy runs the Grams, scipy's the pencil.
+_OPENBLAS_COPIES = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, _SCIPY_OPENBLAS, ""),
 )
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi)
-)
 
 
-def _lapack_routine(name: str, nargs: int):
-    """A LAPACK routine of scipy's own build, called through ctypes.
+# The LAPACK routines of a replicate and their argument counts.
+_LAPACK_ARITY = {"dtrtrs": 10, "dsyevr": 21, "dsygvd": 14}
 
-    `scipy.linalg.cython_lapack` exports each routine as a capsule holding a
-    C function whose arguments are all pointers.  A ctypes foreign call
-    releases the GIL, so worker threads overlap inside LAPACK; scipy's f2py
-    wrappers hold it for the whole call.
+
+def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
+    """(dtrtrs, dsyevr, dsygvd) of scipy's LAPACK, called through ctypes.
+
+    Every argument is a pointer.  A ctypes foreign call releases the GIL, so
+    worker threads overlap inside LAPACK; scipy's f2py wrappers hold it for
+    the whole call.  scipy's Linux wheels bundle OpenBLAS with C-int indices
+    (`library`), whose `scipy_d*_` symbols are what the capsules of
+    `scipy.linalg.cython_lapack` call.  Other builds (conda, distributions,
+    macOS, Windows) bundle none, so the pointers come from those capsules,
+    and only then is `scipy.linalg` imported.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
-    address = _capsule_pointer(capsule, _capsule_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+    try:
+        addresses = [
+            ctypes.cast(getattr(library, f"scipy_{name}_"), ctypes.c_void_p).value
+            for name in _LAPACK_ARITY
+        ]
+    except AttributeError:  # no library, or one without scipy's symbols
+        from scipy.linalg import cython_lapack
+
+        name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi)
+        )
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi)
+        )
+        capsules = [cython_lapack.__pyx_capi__[name] for name in _LAPACK_ARITY]
+        addresses = [pointer(capsule, name_of(capsule)) for capsule in capsules]
+    return tuple(
+        ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+        for nargs, address in zip(_LAPACK_ARITY.values(), addresses)
+    )
 
 
-_dtrtrs = _lapack_routine("dtrtrs", 10)
-_dsyevr = _lapack_routine("dsyevr", 21)
-_dsygvd = _lapack_routine("dsygvd", 14)
+_dtrtrs, _dsyevr, _dsygvd = _lapack_routines(_openblas("scipy", _SCIPY_OPENBLAS))
 
 
 def _int(value: int):
@@ -217,27 +265,16 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return vals[::-1].copy()
 
 
-# (package, library glob beside the package, symbol suffix) of each bundled
-# OpenBLAS: numpy's 64-bit-integer copy runs the Grams, scipy's the pencil.
-_OPENBLAS_COPIES = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
-)
-
-
 def _blas_control(package, pattern: str, suffix: str):
     """(get, set) thread-count functions of one bundled OpenBLAS, or None.
 
     None when the library or a symbol is missing (another BLAS build).
-    `ctypes.CDLL` returns the handle the package already loaded.
     """
-    site = Path(package.__file__).resolve().parent.parent
-    paths = sorted(glob.glob(str(site / pattern)))
+    library = _openblas(package.__name__, pattern)
     try:
-        lib = ctypes.CDLL(paths[0])
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-    except (IndexError, OSError, AttributeError):
+        get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+    except AttributeError:
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None

@@ -17,13 +17,9 @@ with support edges
     r  = sqrt(c + y - c y),
 
 plus a point mass 1 - 1/c at the origin when c > 1 (S1 is then rank
-deficient).  This module evaluates the law in closed form: density, support,
-point mass and the Stieltjes transform
-
-    s(z) = int (x - z)^{-1} dF_{c,y}(x).
-
-The test suite checks each closed form against its defining integral by
-quadrature.
+deficient).  This module evaluates the law in closed form: density, support and
+point mass.  The test suite checks each closed form against its defining
+integral by quadrature.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ __all__ = [
     "critical_interval",
     "mass_at_zero",
     "density",
-    "stieltjes",
 ]
 
 
@@ -151,58 +146,3 @@ def density(params: FisherParams, x):
     vals = (1.0 - params.y) * np.sqrt(prod) / (2.0 * math.pi * safe * (params.c + safe * params.y))
     out = np.where(inside, vals, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _require_exterior(params: FisherParams, z: float, edges: SupportEdges) -> None:
-    if not math.isfinite(z):
-        raise ParameterError(f"evaluation point must be finite, got {z}")
-    if edges.lower <= z <= edges.upper:
-        raise ParameterError(
-            f"evaluation point {z} lies inside the bulk support "
-            f"[{edges.lower}, {edges.upper}]"
-        )
-    if z == 0.0:
-        raise ParameterError("evaluation point 0 sits on the point mass; transform undefined")
-    pole = -params.c / params.y
-    if abs(z - pole) <= 1e-12 * max(1.0, abs(pole)):
-        raise ParameterError(
-            f"evaluation point {z} hits the removable singularity at -c/y = {pole}; "
-            "evaluate at a nearby point instead"
-        )
-
-
-def _signed_radical(params: FisherParams, z: float, edges: SupportEdges) -> float:
-    """Branch-resolved sqrt((1 - c + z(1 - y))^2 - 4z), analytic off the bulk.
-
-    The argument factors as (1 - y)^2 (z - upper)(z - lower), so it is
-    nonnegative exactly off the open bulk.  The branch making the transforms
-    Stieltjes (decay at infinity, correct sign of the imaginary part) takes
-    the positive square root above the bulk and the negative one below it,
-    on the whole half line including negative arguments.
-    """
-    disc = (1.0 - params.c + z * (1.0 - params.y)) ** 2 - 4.0 * z
-    root = math.sqrt(max(disc, 0.0))
-    return root if z > edges.upper else -root
-
-
-def _numerator(params: FisherParams, z: float) -> float:
-    """c(z(1 - y) + 1 - c) + 2zy - c * radical, shared by both transforms."""
-    edges = support_edges(params)
-    _require_exterior(params, z, edges)
-    c, y = params.c, params.y
-    return c * (z * (1.0 - y) + 1.0 - c) + 2.0 * z * y - c * _signed_radical(params, z, edges)
-
-
-def stieltjes(params: FisherParams, z: float) -> float:
-    """Stieltjes transform s(z) = int (x - z)^{-1} dF_{c,y}(x) for real z off support.
-
-    The point mass at the origin (c > 1) is included.  `z` must lie outside
-    the closed bulk [lower, upper] and away from 0.
-
-    Raises:
-        ParameterError: if z is inside the bulk support, equals 0, or hits
-            the removable singularity of the closed form at -c/y.
-    """
-    num = _numerator(params, z)
-    c, y = params.c, params.y
-    return 1.0 / (z * c) - 1.0 / z - num / (2.0 * z * c * (c + z * y))

@@ -2,28 +2,84 @@
 
 None of these is needed to run a study or the command line.  The chain
 quadrature -> `moment_values` -> `clt_constants` ties the package's closed
-forms to the paper's integrals; `companion_stieltjes`,
-`phi_small_y_reduction` and `detectability` restate the paper's identities
-and limits in the form the tests compare with.
+forms to the paper's integrals; `stieltjes`, `companion_stieltjes`,
+`effective_spikes`, `phi_small_y_reduction` and `detectability` restate the
+paper's identities and limits in the form the tests compare with.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from spikedfisher.detect import SignalModel, effective_spikes
+from spikedfisher.detect import SignalModel, _whitened_mixing
 from spikedfisher.errors import ParameterError, require_real
 from spikedfisher.wachter import (
     FisherParams,
-    _numerator,
+    SupportEdges,
     critical_interval,
     require_detached,
     support_edges,
 )
+
+
+def _require_exterior(params: FisherParams, z: float, edges: SupportEdges) -> None:
+    if not math.isfinite(z):
+        raise ParameterError(f"evaluation point must be finite, got {z}")
+    if edges.lower <= z <= edges.upper:
+        raise ParameterError(
+            f"evaluation point {z} lies inside the bulk support "
+            f"[{edges.lower}, {edges.upper}]"
+        )
+    if z == 0.0:
+        raise ParameterError("evaluation point 0 sits on the point mass; transform undefined")
+    pole = -params.c / params.y
+    if abs(z - pole) <= 1e-12 * max(1.0, abs(pole)):
+        raise ParameterError(
+            f"evaluation point {z} hits the removable singularity at -c/y = {pole}; "
+            "evaluate at a nearby point instead"
+        )
+
+
+def _signed_radical(params: FisherParams, z: float, edges: SupportEdges) -> float:
+    """Branch-resolved sqrt((1 - c + z(1 - y))^2 - 4z), analytic off the bulk.
+
+    The argument factors as (1 - y)^2 (z - upper)(z - lower), so it is
+    nonnegative exactly off the open bulk.  The branch making the transforms
+    Stieltjes (decay at infinity, correct sign of the imaginary part) takes
+    the positive square root above the bulk and the negative one below it,
+    on the whole half line including negative arguments.
+    """
+    disc = (1.0 - params.c + z * (1.0 - params.y)) ** 2 - 4.0 * z
+    root = math.sqrt(max(disc, 0.0))
+    return root if z > edges.upper else -root
+
+
+def _numerator(params: FisherParams, z: float) -> float:
+    """c(z(1 - y) + 1 - c) + 2zy - c * radical, shared by both transforms."""
+    edges = support_edges(params)
+    _require_exterior(params, z, edges)
+    c, y = params.c, params.y
+    return c * (z * (1.0 - y) + 1.0 - c) + 2.0 * z * y - c * _signed_radical(params, z, edges)
+
+
+def stieltjes(params: FisherParams, z: float) -> float:
+    """Stieltjes transform s(z) = int (x - z)^{-1} dF_{c,y}(x) for real z off support.
+
+    The point mass at the origin (c > 1) is included.  `z` must lie outside
+    the closed bulk [lower, upper] and away from 0.
+
+    Raises:
+        ParameterError: if z is inside the bulk support, equals 0, or hits
+            the removable singularity of the closed form at -c/y.
+    """
+    num = _numerator(params, z)
+    c, y = params.c, params.y
+    return 1.0 / (z * c) - 1.0 / z - num / (2.0 * z * c * (c + z * y))
 
 
 def companion_stieltjes(params: FisherParams, z: float) -> float:
@@ -142,6 +198,29 @@ def phi_small_y_reduction(c: float, x: float) -> float:
     if x == 1.0:
         raise ParameterError("reduced transition map has a pole at 1")
     return x + c * x / (x - 1.0)
+
+
+def effective_spikes(model: SignalModel) -> np.ndarray:
+    """Descending eigenvalues of A^T Sigma2^{-1} A = M^T M, the effective spikes.
+
+    These play the role of a - 1 in the spiked Fisher ensemble: signal i is
+    asymptotically detectable when effective spike + 1 clears the critical
+    interval.  A rank-deficient mixing matrix yields fewer than k nonzero
+    values; the full vector is returned as-is with a warning.
+    """
+    if model.num_signals == 0:
+        return np.zeros(0)
+    mixing = _whitened_mixing(model)
+    vals = np.linalg.eigvalsh(mixing.T @ mixing)[::-1].copy()
+    tol = 1e-12 * max(1.0, float(vals[0]))
+    nonzero = int(np.count_nonzero(vals > tol))
+    if nonzero < model.num_signals:
+        warnings.warn(
+            f"mixing matrix has numerical rank {nonzero}, below its "
+            f"{model.num_signals} columns; trailing effective spikes are zero",
+            stacklevel=2,
+        )
+    return vals
 
 
 def detectability(model: SignalModel, params: FisherParams) -> int:

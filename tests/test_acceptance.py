@@ -37,13 +37,13 @@ from spikedfisher import (
     run_detection_study,
     sample_limit_batch,
     sample_spectrum,
-    stieltjes,
     stream_generator,
     summarize,
     support_edges,
 )
-from oracles import companion_stieltjes, integrate_against_density, moment_values
+from oracles import companion_stieltjes, integrate_against_density, moment_values, stieltjes
 from spikedfisher.cli import main as cli_main
+from spikedfisher.experiments import _map_indexed
 
 SEED = 20260822
 REFERENCE = FisherParams(c=0.2, y=0.5)
@@ -66,7 +66,7 @@ def _study(dist, spec, seed):
     config = CltConfig(
         dims=DIMS, spec=spec, dist=dist, replicates=1000, master_seed=seed
     )
-    return run_clt_study(config)
+    return run_clt_study(config, threads=2)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def detection_tables():
             replicates=1000,
             master_seed=seed,
         )
-        tables[name] = run_detection_study(config)
+        tables[name] = run_detection_study(config, threads=2)
     return tables
 
 
@@ -208,10 +208,12 @@ def test_04_monte_carlo_outlier_means(gauss_study):
 
     sub_dims = ModelDims(p=400, n=800, T=2000)
     sub_spec = SpikeSpec(spikes=((2.0, 1),))
-    tops = np.empty(1000)
-    for rep in range(tops.size):
-        rng = stream_generator(SEED + 3, 1, rep)
-        tops[rep] = sample_spectrum(rng, sub_dims, sub_spec)[0]
+
+    def top(rep):
+        return sample_spectrum(stream_generator(SEED + 3, 1, rep), sub_dims, sub_spec)[0]
+
+    # BLAS-pinned like a study, on two workers; each replicate keeps its own stream.
+    tops = np.array(_map_indexed(top, 1000, 2))
     print(f"sub-critical mean l1 = {tops.mean():.4f} (edge {B_UPPER:.4f})")
     assert abs(tops.mean() - 12.597) / 12.597 < 0.05
 

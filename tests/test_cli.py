@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spikedfisher
-from spikedfisher import sampling
+from spikedfisher import experiments, sampling
 from spikedfisher.cli import main
 
 
@@ -99,6 +100,12 @@ class TestLaw:
     def test_oversized_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli("law", 0.2, 0.5, "--points", 10**15, "--out-dir", out) == 2
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_beyond_what_law_writes_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("law", 0.2, 0.5, "--points", 10**6 + 1, "--out-dir", out) == 2
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
@@ -339,6 +346,28 @@ class TestGoldenOutputs:
         self.assert_same_files(tmp_path, GOLDEN / "law")
 
 
+class TestCapsuleRoute:
+    """The golden bytes on the LAPACK routines a scipy build without bundled OpenBLAS uses."""
+
+    @pytest.fixture(autouse=True)
+    def capsules(self, monkeypatch):
+        # No library: the routines the resolver gives when the glob finds nothing.
+        routines = sampling._lapack_routines(None)
+        for name, routine in zip(("_dtrtrs", "_dsyevr", "_dsygvd"), routines):
+            monkeypatch.setattr(sampling, name, routine)
+
+    @pytest.mark.parametrize("name", ["clt_gaussian", "clt_rademacher"])
+    def test_simulate_clt_bytes(self, tmp_path, name):
+        TestGoldenOutputs().test_simulate_clt_bytes(tmp_path, name)
+
+    @pytest.mark.parametrize("name", ["block_gaussian", "custom_rademacher"])
+    def test_frequency_bytes(self, tmp_path, name):
+        TestGoldenFrequencies().test_frequency_bytes(tmp_path, name)
+
+    def test_law_bytes(self, tmp_path):
+        TestGoldenOutputs().test_law_bytes(tmp_path)
+
+
 class TestConfigRejections:
     """Each malformed config exits 2 and the message names what is wrong."""
 
@@ -368,6 +397,17 @@ class TestConfigRejections:
         assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert field in err
+        assert not (tmp_path / "out").exists()
+
+    def test_replicates_table_beyond_the_size_rule(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(experiments, "sample_spectrum", no_draw)
+        # 2 x 10**7 replicates pass on their own; the table holds 6 values a row (rank 3).
+        config = write_clt_config(tmp_path / "study.json", replicates=2 * 10**7)
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
+        assert "replicates table" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -679,7 +719,7 @@ class TestDetect:
 
 
 class TestImportPath:
-    """The command line loads numpy, scipy.linalg and scipy.special, and nothing later.
+    """The command line loads numpy, top-level scipy and scipy's bundled OpenBLAS, and nothing later.
 
     Each check runs in a fresh interpreter: inside the test session other
     tests have loaded scipy.stats and scipy.integrate already, so a late
@@ -701,6 +741,35 @@ class TestImportPath:
         )
         for name in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
             assert name not in loaded
+
+    def test_import_skips_linalg_and_special(self, tmp_path):
+        loaded = self.fresh_python(
+            "import json, sys, spikedfisher.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
+        )
+        assert "scipy.special" not in loaded
+        # A scipy build that bundles no OpenBLAS takes its LAPACK from scipy.linalg.
+        if sampling._openblas("scipy", sampling._SCIPY_OPENBLAS) is not None:
+            assert "scipy.linalg" not in loaded
+
+    def test_scipy_openblas_opens_before_numpy(self, tmp_path):
+        # A freshly loaded OpenBLAS spins its pool threads for about 0.13 s: that
+        # must overlap the import, not the first replicates of a study.
+        code = """
+import ctypes, json, sys
+opened = []
+class Probe(ctypes.CDLL):
+    def __init__(self, name, *args, **kwargs):
+        opened.append([str(name), "numpy" in sys.modules])
+        super().__init__(name, *args, **kwargs)
+ctypes.CDLL = Probe
+import spikedfisher.cli
+print(json.dumps(opened))
+"""
+        opened = self.fresh_python(code, tmp_path)
+        if sampling._openblas("scipy", sampling._SCIPY_OPENBLAS) is None:
+            pytest.skip("this scipy build bundles no OpenBLAS")
+        assert "libscipy_openblas-" in opened[0][0]
+        assert opened[0][1] is False
 
     def test_threaded_studies_import_nothing(self, tmp_path):
         clt = write_clt_config(tmp_path / "clt.json", replicates=4, kde_points=5)

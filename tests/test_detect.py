@@ -15,7 +15,6 @@ from spikedfisher import (
     block_noise_model,
     critical_interval,
     detect,
-    effective_spikes,
     ensure_generator,
     equicorrelated_model,
     estimate_count,
@@ -24,7 +23,7 @@ from spikedfisher import (
     standard_mixing,
     support_edges,
 )
-from oracles import detectability
+from oracles import detectability, effective_spikes
 from spikedfisher.cli import main as cli_main
 
 

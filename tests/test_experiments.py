@@ -19,7 +19,6 @@ from spikedfisher import (
     SignalModel,
     SpikeSpec,
     block_noise_model,
-    effective_spikes,
     ensure_generator,
     equicorrelated_model,
     estimate_count,
@@ -33,6 +32,7 @@ from spikedfisher import (
     stream_generator,
     summarize,
 )
+from oracles import effective_spikes
 from spikedfisher.detect import _whitened_mixing
 
 SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
@@ -399,3 +399,32 @@ class TestSummarize:
             summarize(np.array([2.0, 2.0, 2.0]))  # zero default reference variance
         with pytest.raises(ParameterError):
             summarize(np.array([1.0, 2.0]), ref_var=-1.0)
+
+
+class TestNdtr:
+    """The port of cephes' ndtr against `scipy.special.ndtr` as the oracle: the same values."""
+
+    # ndtr's erf/erfc switch (|a| = 1, |x| = 1/sqrt 2), erfc's switches to
+    # 1 - erf (a = sqrt 2) and to its far-tail fit (a = 8 sqrt 2), and the
+    # underflow of exp(-x^2) (x^2 = MAXLOG).
+    BRANCHES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * experiments._MAXLOG)]
+    POINTS = [0.0, 1e-3, 8.0, 40.0, math.inf]
+
+    @staticmethod
+    def assert_same(points):
+        from scipy.special import ndtr
+
+        points = np.asarray(points, dtype=float)
+        assert [experiments._ndtr(a) for a in points.tolist()] == ndtr(points).tolist()
+
+    def test_branch_points_and_their_neighbours(self):
+        points = np.array(self.BRANCHES + self.POINTS)
+        points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, math.inf)])
+        self.assert_same(np.concatenate([points, -points]))
+
+    def test_infinities_give_zero_and_one(self):
+        assert experiments._ndtr(-math.inf) == 0.0
+        assert experiments._ndtr(math.inf) == 1.0
+
+    def test_standard_normals(self):
+        self.assert_same(ensure_generator(31).standard_normal(100_000))

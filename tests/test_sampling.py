@@ -1,11 +1,13 @@
 """Finite-sample spectrum simulation against structural and law oracles."""
 
+import ctypes
 import math
 import threading
 import time
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 from scipy import integrate, stats
 
@@ -402,6 +404,65 @@ class TestLapackCalls:
         start, end = window
         inside = [min(b, end) - max(a, start) for a, b in pauses if b > start and a < end]
         assert max(inside, default=0.0) < 0.5 * (end - start)
+
+
+def _addresses(routines):
+    return [ctypes.cast(routine, ctypes.c_void_p).value for routine in routines]
+
+
+def _capsule_addresses():
+    """The pointers `scipy.linalg.cython_lapack` exports for dtrtrs, dsyevr and dsygvd."""
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    capsules = [scipy.linalg.cython_lapack.__pyx_capi__[name] for name in ("dtrtrs", "dsyevr", "dsygvd")]
+    return [get_pointer(capsule, get_name(capsule)) for capsule in capsules]
+
+
+class TestLapackRoute:
+    """scipy's bundled OpenBLAS and the cython_lapack capsules: one set of routines, one set of bits."""
+
+    @pytest.fixture
+    def capsule_routines(self):
+        """What the resolver gives on a scipy build that bundles no OpenBLAS."""
+        return sampling._lapack_routines(None)
+
+    def test_empty_glob_gives_the_capsules(self, monkeypatch):
+        monkeypatch.setattr(sampling.glob, "glob", lambda pattern: [])
+        library = sampling._openblas.__wrapped__("scipy", sampling._SCIPY_OPENBLAS)
+        assert library is None
+        assert _addresses(sampling._lapack_routines(library)) == _capsule_addresses()
+
+    def test_import_takes_the_bundled_library(self):
+        library = sampling._openblas("scipy", sampling._SCIPY_OPENBLAS)
+        if library is None:
+            pytest.skip("this scipy build bundles no OpenBLAS")
+        routines = (sampling._dtrtrs, sampling._dsyevr, sampling._dsygvd)
+        expected = [library.scipy_dtrtrs_, library.scipy_dsyevr_, library.scipy_dsygvd_]
+        assert _addresses(routines) == _addresses(expected)
+        assert "64_" not in library._name
+
+    def test_routes_give_the_same_bits(self, monkeypatch, capsule_routines):
+        rng = ensure_generator(41)
+        shapes = [(1, 2, 1), (1, 3, 7), (5, 8, 3), (30, 45, 12)] + [
+            (p, p + int(rng.integers(1, 100)), int(rng.integers(1, 250)))
+            for p in rng.integers(1, 120, size=20).tolist()
+        ]
+        for p, n, t_len in shapes:
+            dims = ModelDims(p, n, t_len)
+            x = sampling._spiked(sampling._wishart_factor(rng, p, t_len), SpikeSpec(((5.0, 1),)))
+            l2 = sampling._wishart_factor(rng, p, n)
+            w, z = RADEMACHER.draw(rng, (p, t_len)), RADEMACHER.draw(rng, (p, n))
+            library = sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z)
+            with monkeypatch.context() as patch:
+                for name, routine in zip(("_dtrtrs", "_dsyevr", "_dsygvd"), capsule_routines):
+                    patch.setattr(sampling, name, routine)
+                capsules = sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z)
+            for a, b in zip(library, capsules, strict=True):
+                np.testing.assert_array_equal(a, b, err_msg=str((p, n, t_len)))
 
 
 class TestOneBlasThread:

@@ -10,10 +10,9 @@ from spikedfisher import (
     ParameterError,
     density,
     mass_at_zero,
-    stieltjes,
     support_edges,
 )
-from oracles import companion_stieltjes, integrate_against_density, moment_values
+from oracles import companion_stieltjes, integrate_against_density, moment_values, stieltjes
 
 REFERENCE = FisherParams(c=0.2, y=0.5)
 
