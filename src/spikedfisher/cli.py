@@ -29,9 +29,10 @@ import csv
 import datetime
 import inspect
 import json
+# argparse's gettext imports locale on the first parse; load it with the package, not inside a study.
+import locale  # noqa: F401
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ from .detect import (
 from .errors import (
     NumericalError,
     ParameterError,
-    finite_matrix,
     require_buffer,
     require_count,
     require_real,
@@ -218,9 +218,9 @@ def _clt_config(raw: dict, seed) -> tuple[CltConfig, dict]:
 # checks their values when it meets a rung.
 _MODEL_KINDS = {
     "block-noise": lambda: block_noise_model,
-    "equicorrelated": lambda rho=0.1: partial(equicorrelated_model, rho=rho),
+    "equicorrelated": lambda rho=0.1: lambda dims: equicorrelated_model(dims, rho),
     "null": lambda: null_model,
-    "custom": lambda mixing, noise_cov: partial(SignalModel, mixing, noise_cov),
+    "custom": lambda mixing, noise_cov: lambda dims: SignalModel(mixing, noise_cov, dims),
 }
 
 
@@ -445,7 +445,7 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParameterError(f"cannot read records file {path}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"cannot parse records file {path}: {exc}") from exc
-    return finite_matrix(arr, f"records file {path}")
+    return arr  # checked by records_spectrum
 
 
 def cmd_detect(args) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, finite_matrix, require_real
+from .errors import ParameterError, finite_array, require_real
 from .sampling import ModelDims, _gram_pencil
 from .wachter import FisherParams, support_edges
 
@@ -58,7 +58,7 @@ _TW1_Q95 = 0.9793
 
 
 def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = finite_matrix(mat, label)
+    mat = finite_array(mat, label)
     if mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"{label} must be a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -87,7 +87,7 @@ class SignalModel:
     dims: ModelDims
 
     def __post_init__(self) -> None:
-        mixing = finite_matrix(self.mixing, "mixing matrix")
+        mixing = finite_array(self.mixing, "mixing matrix")
         noise = _check_spd(self.noise_cov, "noise covariance")
         p, k = mixing.shape
         if p != self.dims.p:
@@ -201,11 +201,9 @@ def estimate_count(
         ParameterError: if the input is empty, not 1-d, contains
             non-finite values, or is not sorted descending.
     """
-    vals = np.asarray(eigenvalues, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ParameterError(f"eigenvalues must be a nonempty 1-d array, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ParameterError("eigenvalues contain non-finite values")
+    vals = finite_array(eigenvalues, "eigenvalues", ndim=1)
+    if vals.size == 0:
+        raise ParameterError("eigenvalues must be nonempty")
     if np.any(np.diff(vals) > 0.0):
         raise ParameterError("eigenvalues must be sorted in descending order")
     threshold, gate = config.levels(params, vals.size)
@@ -232,14 +230,11 @@ def records_spectrum(
         Descending eigenvalues and FisherParams(p/T, p/n).
 
     Raises:
-        ParameterError: on dimension mismatch or p >= n.
+        ParameterError: unless both records are finite real matrices with
+            one row count p and p < n.
     """
-    x = np.asarray(signal_records, dtype=float)
-    z = np.asarray(noise_records, dtype=float)
-    if x.ndim != 2 or z.ndim != 2:
-        raise ParameterError(
-            f"records must be 2-d arrays, got shapes {x.shape} and {z.shape}"
-        )
+    x = finite_array(signal_records, "signal records")
+    z = finite_array(noise_records, "noise records")
     if x.shape[0] != z.shape[0]:
         raise ParameterError(
             f"signal and noise records disagree on the dimension: "

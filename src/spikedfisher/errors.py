@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the count, size, number and matrix rules.
+"""Error types shared across the package, and the count, size, number and array rules.
 
 Two failure classes are distinguished so that callers (and the command line
 front end) can map them to different exit codes: bad inputs versus numerical
@@ -49,24 +49,25 @@ def require_real(value, label: str) -> float:
     raise ParameterError(f"{label} must be a finite number, got {value!r}")
 
 
-def finite_matrix(mat, label: str) -> np.ndarray:
-    """The matrix rule of models, records and spike bases.
+def finite_array(values, label: str, ndim: int = 2) -> np.ndarray:
+    """The array rule of models, records, spike bases, spectra and samples.
 
-    A matrix passes if it holds real numbers (not bools), is 2-d, and every
-    entry is finite.
+    An array passes if it holds real numbers (not bools), has exactly `ndim`
+    dimensions, and every entry is finite.  It is returned as floats.
 
     Only integer and float dtypes pass: a cast to float would drop a complex
     part, and would read strings or a structured array as if they were numbers.
     """
+    kind = "vector" if ndim == 1 else "matrix with rows of equal length"
     try:
-        mat = np.asarray(mat)
+        arr = np.asarray(values)
     except (TypeError, ValueError):  # rows of unequal length
-        mat = None
-    if mat is None or mat.dtype.kind not in "iuf":
-        raise ParameterError(f"{label} must be a real matrix with rows of equal length")
-    mat = mat.astype(float, copy=False)
-    if mat.ndim != 2:
-        raise ParameterError(f"{label} must be 2-d, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ParameterError(f"{label} must be a real {kind}")
+    arr = arr.astype(float, copy=False)
+    if arr.ndim != ndim:
+        raise ParameterError(f"{label} must be {ndim}-d, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{label} contains non-finite values")
-    return mat
+    return arr

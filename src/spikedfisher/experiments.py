@@ -26,7 +26,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
-from .errors import ParameterError, require_buffer, require_count
+from .errors import ParameterError, finite_array, require_buffer, require_count, require_real
 from .randomness import require_seed, stream_generator
 from .sampling import (
     EntryDistribution,
@@ -37,6 +37,7 @@ from .sampling import (
     spectrum_packets,
 )
 from .spikes import CLTConstants, SpikeSpec, clt_constants, sample_limit_batch
+from .wachter import support_edges
 
 __all__ = [
     "CltConfig",
@@ -58,6 +59,11 @@ _LIMIT_STREAM = 2
 _DETECT_STREAM = 3
 
 COUNT_BIN_LABELS = ("0", "1", "2", "3", "4", "5+")
+
+# The solvers resolve an eigenvalue to about eps times the largest one; a study
+# whose floor exceeds this fraction of a packet's limit SD is rejected
+# (docs/decisions.md, "The rounding floor").
+_ROUNDING_FLOOR_FRACTION = 0.5
 
 
 def require_replicates(value, minimum: int) -> int:
@@ -221,14 +227,24 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     so empirical and limit samples are independent.
 
     Raises:
-        ParameterError: unless every spike is detached at the config's
-            finite-sample ratios.
+        ParameterError: if a spike is not detached at the finite-sample
+            ratios, or a packet's limit SD sqrt(sigma_sq / p) is below the
+            solvers' rounding floor (`_ROUNDING_FLOOR_FRACTION`).
     """
     dims, spec = config.dims, config.spec
     params = dims.fisher_params()
     v4 = config.dist.fourth_moment
     # Validates detachment of every spike before any sampling starts.
     consts = tuple(clt_constants(params, v, v4) for v in spec.values)
+    top = max(support_edges(params).upper, *(c.lam for c in consts))
+    floor = np.finfo(float).eps * top
+    spread = min(math.sqrt(c.sigma_sq / dims.p) for c in consts)
+    if floor > _ROUNDING_FLOOR_FRACTION * spread:
+        raise ParameterError(
+            f"the solvers' rounding floor {floor:.3e} (eps times the top eigenvalue's limit "
+            f"{top:.3e}) exceeds {_ROUNDING_FLOOR_FRACTION} of the smallest packet's limit SD "
+            f"{spread:.3e}: that packet would be rounding noise"
+        )
     scale = math.sqrt(dims.p)
 
     def one(rep: int) -> tuple[np.ndarray, ...]:
@@ -306,11 +322,9 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
 
 def _sample(values) -> np.ndarray:
     """A 1-d array of at least 2 finite values: what a spread estimate needs."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ParameterError(f"need a 1-d sample of size >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("sample contains non-finite values")
+    arr = finite_array(values, "sample", ndim=1)
+    if arr.size < 2:
+        raise ParameterError(f"need a sample of size >= 2, got {arr.size} values")
     return arr
 
 
@@ -330,7 +344,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 def kde_1d(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate on a grid, Silverman bandwidth."""
-    arr = np.asarray(samples, dtype=float)
+    arr = _sample(samples)
     h = silverman_bandwidth(arr)
     pts = np.asarray(grid, dtype=float)
     z = (pts[:, None] - arr[None, :]) / h
@@ -351,8 +365,8 @@ def kde_2d(
         Surface of shape (len(grid_x), len(grid_y)); entry (i, j) is the
         density at (grid_x[i], grid_y[j]).
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
+    arr = finite_array(samples, "2-d KDE sample")
+    if arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ParameterError(
             f"2-d KDE needs an (m, 2) sample with m >= 2, got shape {arr.shape}"
         )
@@ -445,17 +459,16 @@ def summarize(
     statistic.
 
     Raises:
-        ParameterError: with fewer than 2 values, non-finite values, or a
-            nonpositive reference variance.
+        ParameterError: with fewer than 2 values, non-finite values, a
+            non-finite reference mean, or a reference variance that is not
+            finite and positive.
     """
     arr = _sample(values)
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1))
-    if ref_mean is None:
-        ref_mean = mean
-    if ref_var is None:
-        ref_var = variance
-    if not (math.isfinite(ref_var) and ref_var > 0.0):
+    ref_mean = require_real(mean if ref_mean is None else ref_mean, "reference mean")
+    ref_var = require_real(variance if ref_var is None else ref_var, "reference variance")
+    if ref_var <= 0.0:
         raise ParameterError(f"reference variance must be positive, got {ref_var}")
     # The KS statistic as scipy.stats.kstest computes it, bit for bit.
     z = (np.sort(arr) - ref_mean) / math.sqrt(ref_var)

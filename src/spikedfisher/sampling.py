@@ -34,20 +34,17 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import glob
 import importlib.util
 from dataclasses import dataclass
 from pathlib import Path
 
 
-@functools.cache
 def _openblas(package: str, pattern: str) -> ctypes.CDLL | None:
     """The OpenBLAS bundled beside the installed `package`, or None (another BLAS build).
 
-    Looked up once: scipy's copy gives both the LAPACK routines and its
-    thread control.  `ctypes.CDLL` returns the handle the package already
-    loaded, if it did.
+    The package is located without importing it.  `ctypes.CDLL` returns the
+    handle the package already loaded, if it did.
     """
     site = Path(importlib.util.find_spec(package).origin).parent.parent
     paths = sorted(glob.glob(str(site / pattern)))
@@ -57,20 +54,21 @@ def _openblas(package: str, pattern: str) -> ctypes.CDLL | None:
         return None
 
 
-# scipy's copy, with C-int indices, serves the pencil.  It is opened before
-# numpy is imported: a freshly loaded OpenBLAS spins its pool threads for
-# about 0.13 s, which costs nothing while the import runs on one thread but
-# takes a core from a study's workers if the study starts within it.
-_SCIPY_OPENBLAS = "scipy.libs/libscipy_openblas-*.so"
-_openblas("scipy", _SCIPY_OPENBLAS)
+# scipy's copy, with C-int indices, gives the pencil's LAPACK routines.  It is
+# opened before numpy is imported: a freshly loaded OpenBLAS spins its pool
+# threads for about 0.13 s, which costs nothing while the import runs on one
+# thread but takes a core from a study's workers if the study starts within it.
+_SCIPY_OPENBLAS = _openblas("scipy", "scipy.libs/libscipy_openblas-*.so")
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 from .errors import NumericalError, ParameterError, require_buffer, require_count  # noqa: E402
 from .randomness import ensure_generator  # noqa: E402
 from .spikes import SpikeSpec  # noqa: E402
 from .wachter import FisherParams  # noqa: E402
+
+# numpy's copy, with 64-bit-integer indices, runs the Grams.
+_NUMPY_OPENBLAS = _openblas("numpy", "numpy.libs/libscipy_openblas64_*.so")
 
 __all__ = [
     "EntryDistribution",
@@ -163,14 +161,6 @@ class ModelDims:
         return FisherParams(c=self.c_p, y=self.y_p)
 
 
-# (package, library glob beside the package, symbol suffix) of each bundled
-# OpenBLAS: numpy's 64-bit-integer copy runs the Grams, scipy's the pencil.
-_OPENBLAS_COPIES = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, _SCIPY_OPENBLAS, ""),
-)
-
-
 # The LAPACK routines of a replicate and their argument counts.
 _LAPACK_ARITY = {"dtrtrs": 10, "dsyevr": 21, "dsygvd": 14}
 
@@ -208,7 +198,7 @@ def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
     )
 
 
-_dtrtrs, _dsyevr, _dsygvd = _lapack_routines(_openblas("scipy", _SCIPY_OPENBLAS))
+_dtrtrs, _dsyevr, _dsygvd = _lapack_routines(_SCIPY_OPENBLAS)
 
 
 def _int(value: int):
@@ -265,12 +255,11 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return vals[::-1].copy()
 
 
-def _blas_control(package, pattern: str, suffix: str):
+def _thread_control(library: ctypes.CDLL | None, suffix: str):
     """(get, set) thread-count functions of one bundled OpenBLAS, or None.
 
     None when the library or a symbol is missing (another BLAS build).
     """
-    library = _openblas(package.__name__, pattern)
     try:
         get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
         put = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
@@ -281,18 +270,18 @@ def _blas_control(package, pattern: str, suffix: str):
     return get, put
 
 
-@functools.cache
-def _blas_controls() -> tuple:
-    """The controls of the OpenBLAS copies found, resolved on first use."""
-    found = (_blas_control(*copy) for copy in _OPENBLAS_COPIES)
-    return tuple(control for control in found if control is not None)
+# The thread controls of the OpenBLAS copies found: numpy's, then scipy's.
+_BLAS_CONTROLS = tuple(
+    control
+    for control in (_thread_control(_NUMPY_OPENBLAS, "64_"), _thread_control(_SCIPY_OPENBLAS, ""))
+    if control is not None
+)
 
 
 def _blas_threads() -> int | None:
     """Threads both OpenBLAS copies run on now; None unless both were found and agree."""
-    controls = _blas_controls()
-    counts = {get() for get, _ in controls}
-    return counts.pop() if len(controls) == len(_OPENBLAS_COPIES) and len(counts) == 1 else None
+    counts = {get() for get, _ in _BLAS_CONTROLS}
+    return counts.pop() if len(_BLAS_CONTROLS) == 2 and len(counts) == 1 else None
 
 
 @contextlib.contextmanager
@@ -303,14 +292,13 @@ def _one_blas_thread():
     restore per replicate would race with replicates still in BLAS on
     other threads.  Nested entries save and restore 1.
     """
-    controls = _blas_controls()
-    saved = [get() for get, _ in controls]
+    saved = [get() for get, _ in _BLAS_CONTROLS]
     try:
-        for _, put in controls:
+        for _, put in _BLAS_CONTROLS:
             put(1)
         yield
     finally:
-        for (_, put), count in zip(controls, saved):
+        for (_, put), count in zip(_BLAS_CONTROLS, saved):
             put(count)
 
 

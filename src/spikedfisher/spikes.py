@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, finite_matrix, require_count, require_real
+from .errors import NumericalError, ParameterError, finite_array, require_count, require_real
 from .randomness import ensure_generator
 from .wachter import (
     FisherParams,
@@ -95,7 +95,7 @@ class SpikeSpec:
 
         if self.basis is not None:
             m = self.rank
-            basis = np.array(finite_matrix(self.basis, "basis"))  # a copy, frozen below
+            basis = np.array(finite_array(self.basis, "basis"))  # a copy, frozen below
             if basis.shape != (m, m):
                 raise ParameterError(
                     f"basis must be {m} x {m} to match total spike multiplicity, "
@@ -240,9 +240,7 @@ class CLTConstants:
         Raises:
             ParameterError: if `direction` is not a finite unit vector.
         """
-        u = np.asarray(direction, dtype=float)
-        if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u)):
-            raise ParameterError(f"direction must be a finite 1-d vector, got shape {u.shape}")
+        u = finite_array(direction, "direction", ndim=1)
         norm = float(np.linalg.norm(u))
         if abs(norm - 1.0) > 1e-8:
             raise ParameterError(f"direction must have unit norm, got {norm}")
@@ -267,7 +265,8 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
         NumericalError: for a spike so large that the constants overflow.
     """
     a = require_detached(params, a)
-    if not (math.isfinite(fourth_moment) and fourth_moment >= 1.0):
+    fourth_moment = require_real(fourth_moment, "standardized fourth moment")
+    if fourth_moment < 1.0:
         raise ParameterError(
             f"standardized fourth moment must be at least 1, got {fourth_moment}"
         )

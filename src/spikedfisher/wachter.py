@@ -56,10 +56,13 @@ class FisherParams:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ParameterError(f"ratio c must be finite and positive, got {self.c}")
-        if not (math.isfinite(self.y) and 0.0 < self.y < 1.0):
-            raise ParameterError(f"ratio y must lie in (0, 1), got {self.y}")
+        c, y = require_real(self.c, "ratio c"), require_real(self.y, "ratio y")
+        if c <= 0.0:
+            raise ParameterError(f"ratio c must be finite and positive, got {c}")
+        if not 0.0 < y < 1.0:
+            raise ParameterError(f"ratio y must lie in (0, 1), got {y}")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "y", y)
 
     @property
     def edge_root(self) -> float:

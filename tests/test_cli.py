@@ -156,7 +156,7 @@ class TestSimulateClt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
         assert manifest["threads"] == 1
-        assert manifest["blas_threads"] == (1 if len(sampling._blas_controls()) == 2 else None)
+        assert manifest["blas_threads"] == (1 if len(sampling._BLAS_CONTROLS) == 2 else None)
 
     def test_seed_override_lands_in_manifest(self, tmp_path):
         config = write_clt_config(tmp_path / "study.json")
@@ -205,6 +205,31 @@ class TestSimulateClt:
         rows = read_csv(out / "replicates.csv")
         assert rows[0][2] == "stat_2_1"
         assert len({row[2] for row in rows[1:]}) == 10
+
+    def test_spike_beyond_the_rounding_floor_exits_two(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(experiments, "sample_spectrum", no_draw)
+        # eps x phi(1e15) is 46 limit SDs of the small packet: its eigenvalue would be rounding noise.
+        config = write_clt_config(
+            tmp_path / "study.json", dims=[20, 40, 60], spikes=[[1e15, 1], [0.05, 1]], outputs=[]
+        )
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
+        assert "rounding floor" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_packet_of_three_is_summarized_but_not_gridded(self, tmp_path):
+        config = write_clt_config(tmp_path / "study.json", spikes=[[20.0, 1], [0.2, 3]])
+        out = tmp_path / "out"
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["spikes"][1]["multiplicity"] == 3
+        assert len(summary["spikes"][1]["members"]) == 3
+        header = read_csv(out / "replicates.csv")[0]
+        assert [name for name in header if name.startswith("stat_2_")] == ["stat_2_1", "stat_2_2", "stat_2_3"]
+        assert (out / "kde_spike1.csv").exists()
+        assert list(out.glob("kde*_spike2.csv")) == []
 
     def test_violations_are_enumerated(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -390,6 +415,7 @@ class TestConfigRejections:
             # Strings and booleans are not numbers, even where a float cast would read the identity.
             ({"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "basis"),
             ({"basis": [[True, False, False], [False, True, False], [False, False, True]]}, "basis"),
+            ({"spikes": [[10**400, 1]]}, "spikes"),
         ],
     )
     def test_simulate_clt(self, tmp_path, capsys, overrides, field):
@@ -429,6 +455,10 @@ class TestConfigRejections:
             ({"ladder": [[20, 10**30, 100]]}, "ladder"),
             ({"ladder": [[20, 40, 100], [10**15, 10**15 + 1, 10]]}, "ladder"),
             ({"replicates": 10**30}, "replicates"),
+            (
+                {"ladder": [[4, 10, 30]], "model": {**CUSTOM_MODEL, "noise_cov": [[1.0, 0.0, 0.0, 0.0]] * 3}},
+                "noise covariance must be a square matrix",
+            ),
         ],
     )
     def test_detect_study(self, tmp_path, capsys, overrides, field):
@@ -695,6 +725,13 @@ class TestDetect:
         assert run_cli("detect", "--signal", weird, "--noise", zpath) == 2
         assert "unsupported records format" in capsys.readouterr().err
 
+    def test_unreadable_records_exit_two(self, tmp_path, capsys):
+        xpath, zpath = self.make_records(tmp_path)
+        folder = tmp_path / "folder.npy"
+        folder.mkdir()
+        assert run_cli("detect", "--signal", folder, "--noise", zpath) == 2
+        assert "cannot read records file" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")  # the cast to float warns as it drops the imaginary part
     def test_complex_records_exit_two(self, tmp_path, capsys):
         xpath, zpath = self.make_records(tmp_path)
@@ -719,7 +756,7 @@ class TestDetect:
 
 
 class TestImportPath:
-    """The command line loads numpy, top-level scipy and scipy's bundled OpenBLAS, and nothing later.
+    """The command line loads numpy and scipy's bundled OpenBLAS, and nothing later.
 
     Each check runs in a fresh interpreter: inside the test session other
     tests have loaded scipy.stats and scipy.integrate already, so a late
@@ -747,9 +784,10 @@ class TestImportPath:
             "import json, sys, spikedfisher.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
         )
         assert "scipy.special" not in loaded
-        # A scipy build that bundles no OpenBLAS takes its LAPACK from scipy.linalg.
-        if sampling._openblas("scipy", sampling._SCIPY_OPENBLAS) is not None:
-            assert "scipy.linalg" not in loaded
+        # A scipy build that bundles no OpenBLAS takes its LAPACK from scipy.linalg;
+        # one that does loads no scipy module at all.
+        if sampling._SCIPY_OPENBLAS is not None:
+            assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
     def test_scipy_openblas_opens_before_numpy(self, tmp_path):
         # A freshly loaded OpenBLAS spins its pool threads for about 0.13 s: that
@@ -766,7 +804,7 @@ import spikedfisher.cli
 print(json.dumps(opened))
 """
         opened = self.fresh_python(code, tmp_path)
-        if sampling._openblas("scipy", sampling._SCIPY_OPENBLAS) is None:
+        if sampling._SCIPY_OPENBLAS is None:
             pytest.skip("this scipy build bundles no OpenBLAS")
         assert "libscipy_openblas-" in opened[0][0]
         assert opened[0][1] is False

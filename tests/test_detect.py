@@ -110,6 +110,8 @@ class TestEstimateCount:
             estimate_count(np.array([]), self.PARAMS)
         with pytest.raises(ParameterError):
             estimate_count(np.array([np.nan, 1.0]), self.PARAMS)
+        with pytest.raises(ParameterError, match="real vector"):
+            estimate_count(["30", "2"], self.PARAMS)
 
 
 class TestGate:
@@ -225,6 +227,19 @@ class TestDetect:
             detect(np.zeros((5, 10)), np.zeros((5, 4)))
         with pytest.raises(ParameterError):
             detect(np.zeros(5), np.zeros((5, 12)))
+
+    @pytest.mark.parametrize(
+        "recast",
+        [lambda x: x + 1j, lambda x: x.astype(str), lambda x: x > 0.0, lambda x: x * np.nan],
+        ids=["complex", "string", "bool", "nan"],
+    )
+    def test_rejects_records_that_are_not_finite_reals(self, recast):
+        rng = ensure_generator(35)
+        x, z = rng.standard_normal((10, 40)), rng.standard_normal((10, 25))
+        with pytest.raises(ParameterError, match="signal records"):
+            detect(recast(x), z)
+        with pytest.raises(ParameterError, match="noise records"):
+            detect(x, recast(z))
 
     def test_records_spectrum_params(self):
         rng = ensure_generator(34)

@@ -289,7 +289,7 @@ class TestMapIndexed:
                 experiments._map_indexed(lambda i: i, 3, threads)
 
     def test_blas_pinned_while_workers_run(self):
-        pinned = 1 if len(sampling._blas_controls()) == 2 else None
+        pinned = 1 if len(sampling._BLAS_CONTROLS) == 2 else None
         seen = experiments._map_indexed(lambda i: sampling._blas_threads(), 4, 2)
         assert seen == [pinned] * 4
 
@@ -339,6 +339,8 @@ class TestKde1d:
             kde_1d(np.array([1.0]), grid)
         with pytest.raises(ParameterError):
             kde_1d(np.array([2.0, 2.0, 2.0]), grid)
+        with pytest.raises(ParameterError, match="real vector"):
+            kde_1d(["1", "2", "4"], grid)
 
 
 class TestKde2d:
@@ -399,6 +401,10 @@ class TestSummarize:
             summarize(np.array([2.0, 2.0, 2.0]))  # zero default reference variance
         with pytest.raises(ParameterError):
             summarize(np.array([1.0, 2.0]), ref_var=-1.0)
+        with pytest.raises(ParameterError, match="reference mean"):
+            summarize([1.0, 2.0, 3.0], float("nan"), 1.0)
+        with pytest.raises(ParameterError, match="reference variance"):
+            summarize([1.0, 2.0, 3.0], 0.0, math.inf)
 
 
 class TestNdtr:

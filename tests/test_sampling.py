@@ -432,12 +432,12 @@ class TestLapackRoute:
 
     def test_empty_glob_gives_the_capsules(self, monkeypatch):
         monkeypatch.setattr(sampling.glob, "glob", lambda pattern: [])
-        library = sampling._openblas.__wrapped__("scipy", sampling._SCIPY_OPENBLAS)
+        library = sampling._openblas("scipy", "scipy.libs/libscipy_openblas-*.so")
         assert library is None
         assert _addresses(sampling._lapack_routines(library)) == _capsule_addresses()
 
     def test_import_takes_the_bundled_library(self):
-        library = sampling._openblas("scipy", sampling._SCIPY_OPENBLAS)
+        library = sampling._SCIPY_OPENBLAS
         if library is None:
             pytest.skip("this scipy build bundles no OpenBLAS")
         routines = (sampling._dtrtrs, sampling._dsyevr, sampling._dsygvd)
@@ -467,7 +467,7 @@ class TestLapackRoute:
 
 class TestOneBlasThread:
     def test_pins_nests_and_restores(self):
-        controls = sampling._blas_controls()
+        controls = sampling._BLAS_CONTROLS
         before = [get() for get, _ in controls]
         with sampling._one_blas_thread():
             assert [get() for get, _ in controls] == [1] * len(controls)
@@ -477,7 +477,7 @@ class TestOneBlasThread:
         assert [get() for get, _ in controls] == before
 
     def test_restores_after_an_error(self):
-        controls = sampling._blas_controls()
+        controls = sampling._BLAS_CONTROLS
         before = [get() for get, _ in controls]
         with pytest.raises(RuntimeError, match="inside the pin"):
             with sampling._one_blas_thread():
@@ -485,9 +485,10 @@ class TestOneBlasThread:
         assert [get() for get, _ in controls] == before
 
     def test_missing_library_or_symbol_is_skipped(self):
-        numpy_copy = "numpy.libs/libscipy_openblas64_*.so"
-        assert sampling._blas_control(np, "no-such-dir/libnothing*.so", "") is None
-        assert sampling._blas_control(np, numpy_copy, "_no_such_suffix") is None
+        assert sampling._openblas("numpy", "no-such-dir/libnothing*.so") is None
+        assert sampling._thread_control(None, "64_") is None
+        numpy_copy = sampling._openblas("numpy", "numpy.libs/libscipy_openblas64_*.so")
+        assert sampling._thread_control(numpy_copy, "_no_such_suffix") is None
 
 
 class TestPackets:

@@ -219,6 +219,9 @@ class TestCLTConstants:
     def test_rejects_sub_unit_fourth_moment(self):
         with pytest.raises(ParameterError):
             clt_constants(REFERENCE, 20.0, 0.5)
+        for v4 in ("3", True, math.nan):
+            with pytest.raises(ParameterError, match="fourth moment must be a finite number"):
+                clt_constants(REFERENCE, 20.0, v4)
 
     @pytest.mark.parametrize("a", [1e80, 1e160])
     def test_overflow_names_the_spike(self, a):

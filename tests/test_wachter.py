@@ -61,6 +61,9 @@ class TestParams:
         for c, y in [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (0.2, 0.0), (0.2, 1.0), (0.2, 1.5), (0.2, -0.1)]:
             with pytest.raises(ParameterError):
                 FisherParams(c=c, y=y)
+        for c, y in [(True, 0.5), ("a", 0.5), (10**400, 0.5), (0.2, "a"), (0.2, None)]:
+            with pytest.raises(ParameterError, match="must be a finite number"):
+                FisherParams(c=c, y=y)
 
     def test_edge_root(self):
         assert REFERENCE.edge_root == pytest.approx(math.sqrt(0.2 + 0.5 - 0.1), rel=1e-15)
