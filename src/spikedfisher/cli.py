@@ -72,27 +72,26 @@ from .wachter import FisherParams, critical_interval, density, mass_at_zero, sup
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g") if isinstance(value, (float, np.floating)) else str(value)
-
-
 # Rows formatted by one %-operation; bounds the temporaries of a long float table.
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a header and rows: a 2-d float array, or rows of mixed values through `_fmt`."""
+def _write_csv(path: Path, header, table: np.ndarray, labels=None) -> None:
+    """Write a header, then the rows of a 2-d float table, each led by its label if given.
+
+    Floats are written "%.17g" and need no quoting; a label is written by %s.
+    """
+    width = table.shape[1]
+    line = ("" if labels is None else "%s,") + ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            # "%.17g" writes what _fmt would, and a float needs no quoting.
-            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _CSV_BLOCK_ROWS):
-                block = rows[start : start + _CSV_BLOCK_ROWS]
-                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
-        else:
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            cells = block.ravel().tolist()
+            if labels is not None:
+                columns = [cells[j::width] for j in range(width)]
+                cells = [c for row in zip(labels[start : start + len(block)], *columns) for c in row]
+            fh.write(line * len(block) % tuple(cells))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -101,19 +100,18 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: dict, seed, threads: int | None
-) -> None:
+def _write_manifest(out_dir: Path, args, config: dict) -> None:
+    """Record what ran: a study's `config` is the one it read, after any --seed."""
     _write_json(
         out_dir / "manifest.json",
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
                 timespec="seconds"
             ),
-            "seed": seed,
-            "threads": threads,
+            "seed": config.get("seed"),
+            "threads": getattr(args, "threads", None),
             "blas_threads": _blas_threads(),
             "config": config,
         },
@@ -126,7 +124,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None) -> dict:
+    """The JSON object in `path`, its seed replaced by `seed` unless that is None."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -137,7 +136,7 @@ def _load_config(path: str) -> dict:
         raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParameterError(f"config file {path} must hold a JSON object")
-    return raw
+    return raw if seed is None else {**raw, "seed": seed}
 
 
 _REQUIRED = object()
@@ -147,17 +146,15 @@ def _invalid(*messages: str) -> ParameterError:
     return ParameterError("invalid configuration:\n  - " + "\n  - ".join(messages))
 
 
-def _read_fields(raw: dict, fields: dict, overrides: dict) -> dict:
+def _read_fields(raw: dict, fields: dict) -> dict:
     """Convert each key of a JSON config by its (default, converter) entry in `fields`.
 
-    A non-None override replaces the value.  Every missing `_REQUIRED` key,
-    invalid value or unknown key is reported in one ParameterError.
+    Every missing `_REQUIRED` key, invalid value or unknown key is reported
+    in one ParameterError.
     """
     values, bad = {}, []
     for key, (default, convert) in fields.items():
-        value = overrides.get(key)
-        if value is None:
-            value = raw.get(key, default)
+        value = raw.get(key, default)
         if value is _REQUIRED:
             bad.append(f"{key}: missing required key")
             continue
@@ -206,8 +203,8 @@ _CLT_FIELDS = {
 }
 
 
-def _clt_config(raw: dict, seed) -> tuple[CltConfig, dict]:
-    f = _read_fields(raw, _CLT_FIELDS, {"seed": seed})
+def _clt_config(raw: dict) -> tuple[CltConfig, dict]:
+    f = _read_fields(raw, _CLT_FIELDS)
     spec = _build("basis", SpikeSpec, f["spikes"].spikes, f["basis"])
     config = _build("spikes", CltConfig, f["dims"], spec, f["distribution"], f["replicates"], f["seed"])
     return config, f
@@ -255,8 +252,8 @@ _DETECT_FIELDS = {
 }
 
 
-def _detect_config(raw: dict, seed, dn_override) -> DetectionConfig:
-    f = _read_fields(raw, _DETECT_FIELDS, {"seed": seed, "dn_override": dn_override})
+def _detect_config(raw: dict) -> DetectionConfig:
+    f = _read_fields(raw, _DETECT_FIELDS)
     if raw["model"]["kind"] == "custom" and len(f["ladder"]) != 1:
         raise _invalid("model: a custom model pins p, so the ladder must have one entry")
     return _build(
@@ -295,17 +292,7 @@ def cmd_law(args) -> int:
         },
     )
     _write_manifest(
-        out,
-        "law",
-        {
-            "c": args.c,
-            "y": args.y,
-            "points": args.points,
-            "x_min": x_min,
-            "x_max": x_max,
-        },
-        seed=None,
-        threads=None,
+        out, args, {"c": args.c, "y": args.y, "points": args.points, "x_min": x_min, "x_max": x_max}
     )
     print(f"wrote law.csv, summary.json, manifest.json to {out}")
     return 0
@@ -352,8 +339,8 @@ def _clt_summary_entry(result, index: int) -> dict:
 
 
 def cmd_simulate_clt(args) -> int:
-    raw = _load_config(args.config)
-    config, fields = _clt_config(raw, args.seed)
+    raw = _load_config(args.config, args.seed)
+    config, fields = _clt_config(raw)
     kde_points = fields["kde_points"]
     result = run_clt_study(config, threads=args.threads)
     out = _out_dir(args)
@@ -365,8 +352,8 @@ def cmd_simulate_clt(args) -> int:
         for i, (_, mult) in enumerate(spikes)
         for j in range(mult)
     ]
-    table = np.hstack(result.empirical + result.limit).tolist()
-    _write_csv(out / "replicates.csv", header, ([rep, *row] for rep, row in enumerate(table)))
+    table = np.hstack(result.empirical + result.limit)
+    _write_csv(out / "replicates.csv", header, table, range(len(table)))
     written = ["replicates.csv"]
 
     if "kde" in fields["outputs"]:
@@ -397,35 +384,20 @@ def cmd_simulate_clt(args) -> int:
         _write_json(out / "summary.json", summary)
         written.append("summary.json")
 
-    _write_manifest(
-        out,
-        "simulate-clt",
-        {**raw, "seed": config.master_seed},
-        seed=config.master_seed,
-        threads=args.threads,
-    )
+    _write_manifest(out, args, raw)
     written.append("manifest.json")
     print(f"wrote {', '.join(written)} to {out}")
     return 0
 
 
 def cmd_detect_study(args) -> int:
-    raw = _load_config(args.config)
-    config = _detect_config(raw, args.seed, args.dn_override)
-    table = run_detection_study(config, threads=args.threads)
+    raw = _load_config(args.config, args.seed)
+    table = run_detection_study(_detect_config(raw), threads=args.threads)
     out = _out_dir(args)
-    rows = [
-        [label, *table.frequencies[r]]
-        for r, label in enumerate(table.row_labels)
-    ]
-    _write_csv(out / "frequency.csv", ["count", *table.column_labels], rows)
-    _write_manifest(
-        out,
-        "detect-study",
-        {**raw, "seed": config.master_seed},
-        seed=config.master_seed,
-        threads=args.threads,
+    _write_csv(
+        out / "frequency.csv", ["count", *table.column_labels], table.frequencies, table.row_labels
     )
+    _write_manifest(out, args, raw)
     print(f"wrote frequency.csv, manifest.json to {out}")
     return 0
 
@@ -475,7 +447,7 @@ def cmd_detect(args) -> int:
         _write_json(out / "result.json", result)
         _write_manifest(
             out,
-            "detect",
+            args,
             {
                 "signal": args.signal,
                 "noise": args.noise,
@@ -483,8 +455,6 @@ def cmd_detect(args) -> int:
                 "center": args.center,
                 "top": args.top,
             },
-            seed=None,
-            threads=None,
         )
     return 0
 
@@ -508,22 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_law.add_argument("--out-dir", default=".", help="output directory")
     p_law.set_defaults(func=cmd_law)
 
-    p_clt = sub.add_parser("simulate-clt", help="Monte Carlo fluctuation study")
-    p_clt.add_argument("--config", required=True, help="JSON study configuration")
-    p_clt.add_argument("--out-dir", default=".", help="output directory")
-    p_clt.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_clt.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
-    p_clt.set_defaults(func=cmd_simulate_clt)
-
-    p_study = sub.add_parser("detect-study", help="signal-counter frequencies along a ladder")
-    p_study.add_argument("--config", required=True, help="JSON study configuration")
-    p_study.add_argument("--out-dir", default=".", help="output directory")
-    p_study.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_study.add_argument(
-        "--dn-override", type=float, default=None, help="fixed threshold offset replacing the d_n rule"
-    )
-    p_study.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
-    p_study.set_defaults(func=cmd_detect_study)
+    study = argparse.ArgumentParser(add_help=False)  # the options both studies take
+    study.add_argument("--config", required=True, help="JSON study configuration")
+    study.add_argument("--out-dir", default=".", help="output directory")
+    study.add_argument("--seed", type=int, default=None, help="override the config seed")
+    study.add_argument("--threads", type=int, default=1, help="worker threads (results identical)")
+    sub.add_parser(
+        "simulate-clt", parents=[study], help="Monte Carlo fluctuation study"
+    ).set_defaults(func=cmd_simulate_clt)
+    sub.add_parser(
+        "detect-study", parents=[study], help="signal-counter frequencies along a ladder"
+    ).set_defaults(func=cmd_detect_study)
 
     p_det = sub.add_parser("detect", help="count signals in record files")
     p_det.add_argument("--signal", required=True, help="signal-bearing records, p x T (.npy or .csv)")

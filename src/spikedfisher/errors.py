@@ -49,16 +49,17 @@ def require_real(value, label: str) -> float:
     raise ParameterError(f"{label} must be a finite number, got {value!r}")
 
 
-def finite_array(values, label: str, ndim: int = 2) -> np.ndarray:
+def finite_array(values, label: str, ndim: int | None = 2) -> np.ndarray:
     """The array rule of models, records, spike bases, spectra and samples.
 
     An array passes if it holds real numbers (not bools), has exactly `ndim`
-    dimensions, and every entry is finite.  It is returned as floats.
+    dimensions (any number when `ndim` is None), and every entry is finite.
+    It is returned as floats.
 
     Only integer and float dtypes pass: a cast to float would drop a complex
     part, and would read strings or a structured array as if they were numbers.
     """
-    kind = "vector" if ndim == 1 else "matrix with rows of equal length"
+    kind = {1: "vector", 2: "matrix with rows of equal length"}.get(ndim, "array")
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):  # rows of unequal length
@@ -66,7 +67,7 @@ def finite_array(values, label: str, ndim: int = 2) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf":
         raise ParameterError(f"{label} must be a real {kind}")
     arr = arr.astype(float, copy=False)
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise ParameterError(f"{label} must be {ndim}-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{label} contains non-finite values")

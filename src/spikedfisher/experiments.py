@@ -346,7 +346,7 @@ def kde_1d(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate on a grid, Silverman bandwidth."""
     arr = _sample(samples)
     h = silverman_bandwidth(arr)
-    pts = np.asarray(grid, dtype=float)
+    pts = finite_array(grid, "KDE grid", ndim=1)
     z = (pts[:, None] - arr[None, :]) / h
     return np.exp(-0.5 * z * z).sum(axis=1) / (arr.size * h * math.sqrt(2.0 * math.pi))
 
@@ -372,8 +372,8 @@ def kde_2d(
         )
     h_x = silverman_bandwidth(arr[:, 0])
     h_y = silverman_bandwidth(arr[:, 1])
-    zx = (np.asarray(grid_x, dtype=float)[:, None] - arr[None, :, 0]) / h_x
-    zy = (np.asarray(grid_y, dtype=float)[:, None] - arr[None, :, 1]) / h_y
+    zx = (finite_array(grid_x, "KDE grid x", ndim=1)[:, None] - arr[None, :, 0]) / h_x
+    zy = (finite_array(grid_y, "KDE grid y", ndim=1)[:, None] - arr[None, :, 1]) / h_y
     kern_x = np.exp(-0.5 * zx * zx)
     kern_y = np.exp(-0.5 * zy * zy)
     return kern_x @ kern_y.T / (arr.shape[0] * h_x * h_y * 2.0 * math.pi)

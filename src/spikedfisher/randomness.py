@@ -38,5 +38,4 @@ def ensure_generator(seed_or_rng) -> np.random.Generator:
 
 def stream_generator(master_seed: int, *tags: int) -> np.random.Generator:
     """Independent stream for one unit of work, keyed by (master_seed, *tags)."""
-    seq = np.random.SeedSequence((int(master_seed),) + tuple(int(t) for t in tags))
-    return np.random.Generator(np.random.Philox(seq))
+    return ensure_generator((int(master_seed), *map(int, tags)))

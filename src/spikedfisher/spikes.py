@@ -315,7 +315,7 @@ def sample_limit_batch(
     diag = np.arange(m)
     rows, cols = np.triu_indices(m, k=1)
     out = []
-    for i, (value, mult) in enumerate(spec.spikes):
+    for i, (value, _) in enumerate(spec.spikes):
         consts = clt_constants(params, value, fourth_moment)
         rmats = np.zeros((size, m, m))
         rmats[:, diag, diag] = rng.normal(0.0, math.sqrt(consts._variance_form(1.0)), (size, m))
@@ -325,9 +325,5 @@ def sample_limit_batch(
             rmats[:, cols, rows] = upper
         u_i = spec.block_columns(i)
         projected = -np.einsum("mj,smn,nk->sjk", u_i, rmats, u_i, optimize=True) / consts.delta
-        if mult == 1:
-            vals = projected[:, 0, 0][:, None]
-        else:
-            vals = np.linalg.eigvalsh(projected)[:, ::-1]
-        out.append(np.ascontiguousarray(vals))
+        out.append(np.ascontiguousarray(np.linalg.eigvalsh(projected)[:, ::-1]))
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, require_real
+from .errors import ParameterError, finite_array, require_real
 
 __all__ = [
     "FisherParams",
@@ -135,17 +135,20 @@ def density(params: FisherParams, x):
     the density; query `mass_at_zero` for it.
 
     Args:
-        x: scalar or array of evaluation points.
+        x: scalar or array of finite real evaluation points (`finite_array`'s rule).
 
     Returns:
         Array of densities with the shape of `x` (scalar in, scalar out).
     """
     edges = support_edges(params)
-    arr = np.asarray(x, dtype=float)
-    inside = (arr >= edges.lower) & (arr <= edges.upper)
-    # Evaluate only strictly inside; edge values are exactly 0 by the sqrt.
-    safe = np.where(inside, arr, 0.5 * (edges.lower + edges.upper))
-    prod = np.clip((edges.upper - safe) * (safe - edges.lower), 0.0, None)
-    vals = (1.0 - params.y) * np.sqrt(prod) / (2.0 * math.pi * safe * (params.c + safe * params.y))
-    out = np.where(inside, vals, 0.0)
+    arr = finite_array(x, "density points", ndim=None)
+    # The formula runs strictly inside only: the edges are exactly 0, and at
+    # c = 1 the lower edge is the pole x = 0.
+    inside = (arr > edges.lower) & (arr < edges.upper)
+    out = np.zeros(arr.shape)
+    t = arr[inside]
+    out[inside] = (
+        (1.0 - params.y) * np.sqrt((edges.upper - t) * (t - edges.lower))
+        / (2.0 * math.pi * t * (params.c + t * params.y))
+    )
     return float(out) if out.ndim == 0 else out

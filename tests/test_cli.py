@@ -1,9 +1,11 @@
 """End-to-end command line checks."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import spikedfisher
 from spikedfisher import experiments, sampling
-from spikedfisher.cli import main
+from spikedfisher.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -49,6 +51,15 @@ def write_clt_config(path, **overrides):
     config.update(overrides)
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def rerun_from_manifest(command, out, tmp_path):
+    """Run `command` again on the config in `out`'s manifest; return the new out dir."""
+    config = tmp_path / "rerun.json"
+    config.write_text(json.dumps(json.loads((out / "manifest.json").read_text())["config"]))
+    rerun = tmp_path / "rerun"
+    assert run_cli(command, "--config", config, "--out-dir", rerun) == 0
+    return rerun
 
 
 def write_detect_config(path, **overrides):
@@ -165,6 +176,13 @@ class TestSimulateClt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
         assert manifest["config"]["seed"] == 99
+
+    def test_manifest_config_reruns_the_study(self, tmp_path):
+        config = write_clt_config(tmp_path / "study.json", outputs=[])
+        out = tmp_path / "out"
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", out, "--seed", 99) == 0
+        rerun = rerun_from_manifest("simulate-clt", out, tmp_path)
+        assert (rerun / "replicates.csv").read_bytes() == (out / "replicates.csv").read_bytes()
 
     def test_summary_only_output(self, tmp_path):
         config = write_clt_config(tmp_path / "study.json", outputs=["summary"])
@@ -316,6 +334,21 @@ class TestDetectStudy:
         assert run_cli("detect-study", "--config", config, "--out-dir", out) == 0
         rows = read_csv(out / "frequency.csv")
         assert float(rows[1][1]) == 1.0  # every replicate lands in the zero bin
+
+    @pytest.mark.parametrize("shift", [100.0, 0.5])
+    def test_manifest_config_reruns_the_study(self, tmp_path, shift):
+        config = write_detect_config(tmp_path / "study.json", dn_override=shift, replicates=8)
+        out = tmp_path / "out"
+        assert run_cli("detect-study", "--config", config, "--out-dir", out, "--seed", 12) == 0
+        rerun = rerun_from_manifest("detect-study", out, tmp_path)
+        assert (rerun / "frequency.csv").read_bytes() == (out / "frequency.csv").read_bytes()
+
+    def test_shift_is_a_config_key_not_a_flag(self, tmp_path, capsys):
+        config = write_detect_config(tmp_path / "study.json")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("detect-study", "--config", config, "--out-dir", tmp_path, "--dn-override", 1)
+        assert excinfo.value.code == 2
+        assert "--dn-override" in capsys.readouterr().err
 
 
 CUSTOM_MODEL = {
@@ -907,3 +940,16 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_readme_names_only_existing_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        parsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        subsections = section.split("\n### ")[1:]
+        assert sorted(chunk.split("\n", 1)[0] for chunk in subsections) == sorted(parsers)
+        for chunk in subsections:
+            name, body = chunk.split("\n", 1)
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", body):
+                assert flag in parsers[name]._option_string_actions, f"### {name} names {flag}"

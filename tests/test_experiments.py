@@ -342,6 +342,11 @@ class TestKde1d:
         with pytest.raises(ParameterError, match="real vector"):
             kde_1d(["1", "2", "4"], grid)
 
+    def test_rejects_bad_grids(self):
+        for grid in (["0", "1"], [0.0, math.inf], [[0.0, 1.0]]):
+            with pytest.raises(ParameterError, match="KDE grid"):
+                kde_1d([1.0, 2.0, 4.0], grid)
+
 
 class TestKde2d:
     def test_recovers_standard_normal_pair(self):
@@ -372,6 +377,12 @@ class TestKde2d:
         flat = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(ParameterError):
             kde_2d(flat, gx, gx)
+
+    def test_rejects_bad_grids(self):
+        sample = [[0, 1], [1, 0], [2, 2]]
+        for grid_x, grid_y in (([np.nan], [0.0]), ([0.0], ["0"]), ([0.0], [[0.0]])):
+            with pytest.raises(ParameterError, match="KDE grid"):
+                kde_2d(sample, grid_x, grid_y)
 
 
 class TestSummarize:

@@ -102,8 +102,10 @@ class TestDensity:
     def test_zero_outside_support_exactly(self):
         edges = support_edges(REFERENCE)
         outside = [-1.0, 0.0, 0.5 * edges.lower, edges.lower, edges.upper, 1.5 * edges.upper]
-        for x in outside:
-            assert density(REFERENCE, x) == 0.0
+        # At c = 1 the lower edge is exactly 0, the pole of the formula.
+        cases = [(REFERENCE, x) for x in outside] + [(FisherParams(c=1.0, y=0.5), 0.0)]
+        for params, x in cases:
+            assert density(params, x) == 0.0
 
     def test_positive_inside(self):
         edges = support_edges(REFERENCE)
@@ -115,6 +117,11 @@ class TestDensity:
         assert arr.shape == (2, 2)
         assert arr[1, 0] == 0.0 and arr[1, 1] == 0.0
         assert isinstance(density(REFERENCE, 1.0), float)
+
+    def test_rejects_points_that_are_not_finite_reals(self):
+        for points in (["1.0"], [True], [1.0, math.nan], 1j):
+            with pytest.raises(ParameterError, match="density points"):
+                density(REFERENCE, points)
 
     def test_atom_case_density_zero_between_origin_and_bulk(self):
         params = FisherParams(c=2.0, y=0.3)
