@@ -210,14 +210,13 @@ def _clt_config(raw: dict) -> tuple[CltConfig, dict]:
     return config, f
 
 
-# Model kind -> factory of its ModelDims -> SignalModel builder; the
-# factory's parameters are the kind's keys.  The builder's constructor
-# checks their values when it meets a rung.
+# Model kind -> its SignalModel constructor; `dims` comes first and the
+# other parameters are the kind's keys, whose values it checks at each rung.
 _MODEL_KINDS = {
-    "block-noise": lambda: block_noise_model,
-    "equicorrelated": lambda rho=0.1: lambda dims: equicorrelated_model(dims, rho),
-    "null": lambda: null_model,
-    "custom": lambda mixing, noise_cov: lambda dims: SignalModel(mixing, noise_cov, dims),
+    "block-noise": block_noise_model,
+    "equicorrelated": equicorrelated_model,
+    "null": null_model,
+    "custom": lambda dims, mixing, noise_cov: SignalModel(mixing, noise_cov, dims),
 }
 
 
@@ -230,15 +229,15 @@ def _model(value):
         raise ParameterError(f"unknown kind {kind!r}; choose from {tuple(_MODEL_KINDS)}")
     make = _MODEL_KINDS[kind]
     try:
-        inspect.signature(make).bind(**args)
+        inspect.signature(make).bind(None, **args)
     except TypeError as exc:
         raise ParameterError(f"kind {kind!r}: {exc}") from None
-    return make(**args)
+    return lambda dims: make(dims, **args)
 
 
 def _ladder(value) -> tuple[ModelDims, ...]:
-    if not isinstance(value, list):
-        raise ParameterError(f"must be a list of [p, n, T] entries, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ParameterError(f"must be a nonempty list of [p, n, T] entries, got {value!r}")
     return tuple(ModelDims.coerce(entry) for entry in value)
 
 
@@ -254,12 +253,8 @@ _DETECT_FIELDS = {
 
 def _detect_config(raw: dict) -> DetectionConfig:
     f = _read_fields(raw, _DETECT_FIELDS)
-    if raw["model"]["kind"] == "custom" and len(f["ladder"]) != 1:
-        raise _invalid("model: a custom model pins p, so the ladder must have one entry")
-    return _build(
-        "ladder", DetectionConfig,
-        f["ladder"], f["model"], f["distribution"], f["replicates"], f["seed"], f["dn_override"],
-    )
+    models = _build("model", lambda: tuple(map(f["model"], f["ladder"])))
+    return DetectionConfig(models, f["distribution"], f["replicates"], f["seed"], f["dn_override"])
 
 
 # The largest grid `law` writes: 10**6 points take about 150 MB and 5 s, and
@@ -275,6 +270,11 @@ def cmd_law(args) -> int:
     x_min = edges.lower if args.x_min is None else require_real(args.x_min, "--x-min")
     x_max = edges.upper if args.x_max is None else require_real(args.x_max, "--x-max")
     if args.points > 1 and not 0.0 < x_max - x_min < math.inf:
+        if args.x_min is None and args.x_max is None:
+            raise ParameterError(
+                f"the support at c={args.c}, y={args.y} has no width in floating point "
+                f"([{x_min}, {x_max}]); pass --x-min and --x-max, or --points 0 or 1"
+            )
         raise ParameterError(f"need --x-min < --x-max with a finite width, got [{x_min}, {x_max}]")
 
     out = _out_dir(args)
@@ -305,8 +305,8 @@ def _kde_grid(values: np.ndarray, points: int) -> np.ndarray:
     return np.linspace(lo - pad, hi + pad, points)
 
 
-def _clt_summary_entry(result, index: int) -> dict:
-    spike_value, mult = result.spec.spikes[index]
+def _clt_summary_entry(spec: SpikeSpec, result, index: int) -> dict:
+    spike_value, mult = spec.spikes[index]
     consts = result.constants[index]
     emp = result.empirical[index]
     lim = result.limit[index]
@@ -321,7 +321,7 @@ def _clt_summary_entry(result, index: int) -> dict:
             "limit_variance": lim_stats.variance,
         }
         if mult == 1:
-            direction = result.spec.block_columns(index)[:, 0]
+            direction = spec.block_columns(index)[:, 0]
             ref_var = consts.projection_variance(direction)
             member["reference_variance"] = ref_var
             member["ks_vs_reference"] = summarize(emp[:, j], 0.0, ref_var).ks_distance
@@ -345,7 +345,7 @@ def cmd_simulate_clt(args) -> int:
     result = run_clt_study(config, threads=args.threads)
     out = _out_dir(args)
 
-    spikes = result.spec.spikes
+    spikes = config.spec.spikes
     header = ["replicate"] + [
         f"{kind}_{i + 1}_{j + 1}"
         for kind in ("stat", "limit")
@@ -376,10 +376,10 @@ def cmd_simulate_clt(args) -> int:
 
     if "summary" in fields["outputs"]:
         summary = {
-            "dims": {"p": result.dims.p, "n": result.dims.n, "T": result.dims.T},
-            "distribution": result.dist.name,
+            "dims": {"p": config.dims.p, "n": config.dims.n, "T": config.dims.T},
+            "distribution": config.dist.name,
             "replicates": config.replicates,
-            "spikes": [_clt_summary_entry(result, i) for i in range(len(spikes))],
+            "spikes": [_clt_summary_entry(config.spec, result, i) for i in range(len(spikes))],
         }
         _write_json(out / "summary.json", summary)
         written.append("summary.json")

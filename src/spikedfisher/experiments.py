@@ -3,7 +3,7 @@
 Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
 pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
 fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
-counter along a dimension ladder.  Both end in the sampling core: a CLT
+counter along a ladder of record models.  Both end in the sampling core: a CLT
 replicate is `sampling.sample_spectrum`, a detection replicate solves its
 whitened records with `sampling._gram_pencil` (`_detection_spectrum`).
 Replicates are embarrassingly parallel;
@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,11 +120,11 @@ class CltConfig:
 
 @dataclass(frozen=True, eq=False)
 class DetectionConfig:
-    """A detection study along a dimension ladder.
+    """A detection study along a ladder of record models.
 
     Attributes:
-        ladder: at least one rung, each as `CltConfig.dims`.
-        model: builder mapping each rung's ModelDims to its SignalModel.
+        models: at least one SignalModel, one per rung; each rung runs at
+            its model's dims.
         dist: entry distribution of signals and noise.
         replicates: Monte Carlo replicates per rung, at least 1.
         master_seed: root of all replicate streams (nonnegative, 64-bit).
@@ -133,19 +133,19 @@ class DetectionConfig:
 
     MIN_REPLICATES: ClassVar[int] = 1
 
-    ladder: tuple[ModelDims, ...]
-    model: Callable[[ModelDims], SignalModel]
+    models: tuple[SignalModel, ...]
     dist: EntryDistribution
     replicates: int
     master_seed: int
     detector: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ladder, (list, tuple)) or not self.ladder:
-            raise ParameterError("dimension ladder must contain at least one (p, n, T)")
-        object.__setattr__(self, "ladder", tuple(ModelDims.coerce(d) for d in self.ladder))
-        if not callable(self.model):
-            raise ParameterError(f"model must be a builder of SignalModels, got {self.model!r}")
+        models = self.models
+        if not isinstance(models, (list, tuple)) or not models or not all(
+            isinstance(m, SignalModel) for m in models
+        ):
+            raise ParameterError("models must be a nonempty sequence of SignalModels, one per rung")
+        object.__setattr__(self, "models", tuple(models))
         if not isinstance(self.detector, DetectorConfig):
             raise ParameterError(f"detector must be a DetectorConfig, got {self.detector!r}")
         _check_study(self)
@@ -161,9 +161,6 @@ class CltStudyResult:
     holds as many independent draws of that law.
     """
 
-    dims: ModelDims
-    spec: SpikeSpec
-    dist: EntryDistribution
     constants: tuple[CLTConstants, ...]
     empirical: tuple[np.ndarray, ...]
     limit: tuple[np.ndarray, ...]
@@ -259,14 +256,7 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     limit = tuple(
         sample_limit_batch(limit_rng, params, spec, v4, size=config.replicates)
     )
-    return CltStudyResult(
-        dims=dims,
-        spec=spec,
-        dist=config.dist,
-        constants=consts,
-        empirical=empirical,
-        limit=limit,
-    )
+    return CltStudyResult(constants=consts, empirical=empirical, limit=limit)
 
 
 def _detection_spectrum(rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDistribution) -> np.ndarray:
@@ -281,26 +271,15 @@ def _detection_spectrum(rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDis
 
 
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
-    """Frequency table of the estimated signal count along the ladder.
+    """Frequency table of the estimated signal count along the ladder of models.
 
-    The config's builder makes one SignalModel per rung, whitened once
-    (`detect._whitened_mixing`).  Each replicate draws its records from its
-    own stream (`_detection_spectrum`), counts signals at the rung's
-    finite-sample ratios, and lands in one of the count bins 0..4 or "5+".
-
-    Raises:
-        ParameterError: if the builder rejects a rung, or returns anything
-            but a SignalModel of that rung's dimensions.
+    Each rung's SignalModel is whitened once (`detect._whitened_mixing`).
+    Each replicate draws its records from its own stream
+    (`_detection_spectrum`), counts signals at the rung's finite-sample
+    ratios, and lands in one of the count bins 0..4 or "5+".
     """
-    models = [config.model(dims) for dims in config.ladder]
-    for dims, model in zip(config.ladder, models):
-        if not isinstance(model, SignalModel):
-            raise ParameterError(f"model builder returned {type(model).__name__}, not a SignalModel")
-        if model.dims != dims:
-            raise ParameterError(f"model builder returned dims {model.dims} for rung {dims}")
-
-    freq = np.zeros((len(COUNT_BIN_LABELS), len(models)))
-    for entry, model in enumerate(models):
+    freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
+    for entry, model in enumerate(config.models):
         mixing, params = _whitened_mixing(model), model.dims.fisher_params()
 
         # Runs to completion inside this iteration, so it may read the loop variables.
@@ -313,10 +292,11 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
             freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1
     freq /= config.replicates
 
-    if len({d.p for d in config.ladder}) == len(config.ladder):
-        labels = tuple(f"p={d.p}" for d in config.ladder)
+    ladder = [m.dims for m in config.models]
+    if len({d.p for d in ladder}) == len(ladder):
+        labels = tuple(f"p={d.p}" for d in ladder)
     else:
-        labels = tuple(f"p={d.p},n={d.n},T={d.T}" for d in config.ladder)
+        labels = tuple(f"p={d.p},n={d.n},T={d.T}" for d in ladder)
     return FrequencyTable(row_labels=COUNT_BIN_LABELS, column_labels=labels, frequencies=freq)
 
 

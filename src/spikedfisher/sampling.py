@@ -137,16 +137,12 @@ class ModelDims:
 
     @classmethod
     def coerce(cls, value) -> ModelDims:
-        """ModelDims from itself, a (p, n, T) sequence, or a mapping with keys p, n, T."""
+        """ModelDims from itself or a (p, n, T) sequence."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, dict) and set(value) == {"p", "n", "T"}:
-            return cls(**value)
         if isinstance(value, (list, tuple)) and len(value) == 3:
             return cls(*value)
-        raise ParameterError(
-            f"dimensions must be [p, n, T] or an object with exactly the keys p, n, T, got {value!r}"
-        )
+        raise ParameterError(f"dimensions must be [p, n, T], got {value!r}")
 
     @property
     def c_p(self) -> float:

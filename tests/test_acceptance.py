@@ -92,8 +92,7 @@ def detection_tables():
         ("equicorrelated", equicorrelated_model, SEED + 5),
     ):
         config = DetectionConfig(
-            ladder=LADDER,
-            model=builder,
+            models=tuple(map(builder, LADDER)),
             dist=GAUSSIAN,
             replicates=1000,
             master_seed=seed,
@@ -281,8 +280,7 @@ def test_09_detection_frequencies(detection_tables):
 
 def test_10_null_size():
     config = DetectionConfig(
-        ladder=(DIMS,),
-        model=null_model,
+        models=(null_model(DIMS),),
         dist=GAUSSIAN,
         replicates=500,
         master_seed=SEED + 6,

@@ -120,6 +120,16 @@ class TestLaw:
         assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", [1e33, 1e300, 1e308])
+    def test_support_without_width_exits_two(self, tmp_path, capsys, c):
+        # Above c of about 1e32 both support edges round to one float.
+        out = tmp_path / "out"
+        assert run_cli("law", c, 0.2, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "has no width in floating point" in err and "need --x-min" not in err
+        assert not out.exists()
+        assert run_cli("law", c, 0.2, "--points", 1, "--out-dir", out) == 0
+
     @pytest.mark.parametrize(
         "window, flag",
         [(["--x-max", "inf", "--points", 4], "--x-max"), (["--x-min", "nan", "--points", 1], "--x-min")],
@@ -318,7 +328,15 @@ class TestDetectStudy:
             },
         )
         assert run_cli("detect-study", "--config", config, "--out-dir", tmp_path) == 2
-        assert "one entry" in capsys.readouterr().err
+        assert "mixing matrix has 3 rows but dims.p=20" in capsys.readouterr().err
+
+    def test_custom_ladder_of_one_p_runs(self, tmp_path):
+        config = write_detect_config(
+            tmp_path / "study.json", ladder=[[4, 10, 30], [4, 20, 60]], model=CUSTOM_MODEL
+        )
+        out = tmp_path / "out"
+        assert run_cli("detect-study", "--config", config, "--out-dir", out) == 0
+        assert read_csv(out / "frequency.csv")[0] == ["count", "p=4,n=10,T=30", "p=4,n=20,T=60"]
 
     def test_unknown_model_kind(self, tmp_path, capsys):
         config = write_detect_config(tmp_path / "study.json", model={"kind": "sparse"})
@@ -542,7 +560,6 @@ _VALID_DIMS = st.integers(1, 8).flatmap(
 _DIMS = _mostly(
     st.one_of(
         _VALID_DIMS.map(list),
-        _VALID_DIMS.map(lambda d: dict(zip("pnT", d))),
         st.lists(_mostly(_SIZE), min_size=3, max_size=3),
     )
 )
@@ -940,6 +957,16 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_readme_python_blocks_run(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert blocks
+        done = subprocess.run(
+            [sys.executable, "-c", "\n".join(blocks)],
+            cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_readme_names_only_existing_flags(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """Study drivers, density estimation, and summaries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -54,8 +55,7 @@ def small_clt_config(**overrides):
 
 def small_detection_config(**overrides):
     base = dict(
-        ladder=LADDER,
-        model=block_noise_model,
+        models=tuple(map(block_noise_model, LADDER)),
         dist=GAUSSIAN,
         replicates=16,
         master_seed=3,
@@ -67,16 +67,17 @@ def small_detection_config(**overrides):
 class TestStudyConfigs:
     def test_accepts_tuple_dims(self):
         assert small_clt_config(dims=(60, 120, 300)).dims == DIMS
-        config = small_detection_config(ladder=[(60, 120, 300), {"p": 60, "n": 120, "T": 300}])
-        assert config.ladder == (DIMS, DIMS)
+        models = [null_model(DIMS), null_model(DIMS)]
+        assert small_detection_config(models=models).models == tuple(models)
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ParameterError):
-            small_detection_config(ladder=())
-        with pytest.raises(ParameterError):
-            small_detection_config(ladder=((60, 120),))
+        for models in ((), null_model(DIMS), [SPEC]):
+            with pytest.raises(ParameterError, match="nonempty sequence of SignalModels"):
+                small_detection_config(models=models)
         with pytest.raises(ParameterError):
             small_clt_config(dims=(60, 50, 300))
+        with pytest.raises(ParameterError, match=r"dimensions must be \[p, n, T\], got"):
+            small_clt_config(dims={"p": 60, "n": 120, "T": 300})
         with pytest.raises(ParameterError):
             small_clt_config(replicates=1)  # summaries need spread
         with pytest.raises(ParameterError):
@@ -89,8 +90,6 @@ class TestStudyConfigs:
             small_clt_config(dist="gaussian")
         with pytest.raises(ParameterError):
             small_detection_config(detector=0.5)
-        with pytest.raises(ParameterError):
-            small_detection_config(model=SPEC)
         # One integer rule for replicates and seeds: True is not 1.
         for field in ("replicates", "master_seed"):
             with pytest.raises(ParameterError):
@@ -102,7 +101,7 @@ class TestStudyConfigs:
 class TestCltStudy:
     def test_shapes_and_indices(self):
         result = run_clt_study(small_clt_config())
-        assert result.dims == DIMS
+        assert [f.name for f in dataclasses.fields(result)] == ["constants", "empirical", "limit"]
         assert [e.shape for e in result.empirical] == [(24, 1), (24, 2), (24, 1)]
         assert [l.shape for l in result.limit] == [(24, 1), (24, 2), (24, 1)]
         assert len(result.constants) == 3
@@ -141,7 +140,6 @@ class TestCltStudy:
 
     def test_rademacher_study_runs(self):
         result = run_clt_study(small_clt_config(dist=RADEMACHER, replicates=6))
-        assert result.dist == RADEMACHER
         assert result.constants[0].sigma_sq == pytest.approx(2039.8880658436212, rel=1e-9)
 
 
@@ -161,25 +159,10 @@ class TestDetectionStudy:
         np.testing.assert_array_equal(one.frequencies, four.frequencies)
 
     def test_fixed_model_target(self):
-        # A fixed SignalModel runs through a builder that returns it.
-        fixed = null_model(LADDER[0])
-        table = run_detection_study(self.config(ladder=LADDER[:1], model=lambda dims: fixed))
+        table = run_detection_study(self.config(models=[null_model(LADDER[0])]))
         assert table.frequencies.shape == (6, 1)
         # Pure noise: mass concentrates on the zero bin.
         assert table.frequencies[0, 0] > 0.5
-
-    def test_fixed_model_must_match_ladder(self):
-        fixed = null_model(LADDER[0])
-        with pytest.raises(ParameterError):
-            run_detection_study(self.config(model=lambda dims: fixed))
-
-    def test_builder_must_return_signal_model(self):
-        with pytest.raises(ParameterError):
-            run_detection_study(self.config(model=lambda dims: dims))
-
-    def test_spike_spec_target_rejected(self):
-        with pytest.raises(ParameterError):
-            self.config(model=SPEC)
 
 
 def dense_custom_model(dims):
@@ -233,9 +216,7 @@ class TestWhitenedReplicate:
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
             counts[min(estimate_count(dense, params), counts.size - 1)] += 1
-        config = small_detection_config(
-            ladder=(self.DIMS,), model=lambda dims: model, dist=dist, replicates=self.REPS, master_seed=5
-        )
+        config = small_detection_config(models=[model], dist=dist, replicates=self.REPS, master_seed=5)
         np.testing.assert_array_equal(run_detection_study(config).frequencies[:, 0], counts / self.REPS)
 
     def test_effective_spikes_are_the_whitened_gram(self):

@@ -464,6 +464,13 @@ class TestLapackRoute:
             for a, b in zip(library, capsules, strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=str((p, n, t_len)))
 
+    @pytest.mark.parametrize("route", ["module", "capsules"])
+    def test_singular_triangle_raises(self, monkeypatch, capsule_routines, route):
+        if route == "capsules":
+            monkeypatch.setattr(sampling, "_dtrtrs", capsule_routines[0])
+        with pytest.raises(NumericalError, match=r"LAPACK dtrtrs failed \(info = 2\)"):
+            sampling._solve_lower(np.diag([1.0, 0.0, 2.0]), np.ones((3, 2)))
+
 
 class TestOneBlasThread:
     def test_pins_nests_and_restores(self):
