@@ -425,20 +425,17 @@ def cmd_detect(args) -> int:
     x = _load_matrix(args.signal)
     z = _load_matrix(args.noise)
     config = DetectorConfig(shift=args.dn_override)
-    vals, params = records_spectrum(x, z, center=args.center)
-    k_hat = estimate_count(vals, params, config)
-    edges = support_edges(params)
-    offset = config.offset(vals.size)
-    threshold, gate = config.levels(params, vals.size)
+    vals, dims = records_spectrum(x, z, center=args.center)
+    threshold, gate = config.levels(dims)
     result = {
-        "k_hat": k_hat,
-        "b": edges.upper,
-        "d_n": offset,
+        "k_hat": estimate_count(vals, dims, config),
+        "b": support_edges(dims.fisher_params()).upper,
+        "d_n": config.offset(dims.p),
         "threshold": threshold,
         "gate": gate,
-        "p": x.shape[0],
-        "T": x.shape[1],
-        "n": z.shape[1],
+        "p": dims.p,
+        "T": dims.T,
+        "n": dims.n,
         "top_eigenvalues": [float(v) for v in vals[: args.top]],
     }
     print(json.dumps(result, indent=2, sort_keys=True))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
 from .sampling import ModelDims, _gram_pencil
-from .wachter import FisherParams, support_edges
+from .wachter import support_edges
 
 __all__ = [
     "SignalModel",
@@ -148,23 +148,21 @@ class DetectorConfig:
             )
         return math.log(math.log(p)) / p ** (2.0 / 3.0)
 
-    def levels(self, params: FisherParams, p: int) -> tuple[float, float]:
+    def levels(self, dims: ModelDims) -> tuple[float, float]:
         """Counting threshold b + offset and the gate on the top eigenvalue.
 
-        Args:
-            params: the finite-sample ratios (p/T, p/n).
-            p: the dimension; T = p/c and n = p/y.
+        b is the upper bulk edge at the finite-sample ratios (p/T, p/n).
 
         Returns:
             (threshold, gate) with gate >= threshold.
         """
-        threshold = support_edges(params).upper + self.offset(p)
+        threshold = support_edges(dims.fisher_params()).upper + self.offset(dims.p)
         if self.shift is not None:
             return threshold, threshold
-        return threshold, max(_tracy_widom_q95(p, p / params.y, p / params.c), threshold)
+        return threshold, max(_tracy_widom_q95(dims.p, dims.n, dims.T), threshold)
 
 
-def _tracy_widom_q95(p: int, n: float, t_len: float) -> float:
+def _tracy_widom_q95(p: int, n: int, t_len: int) -> float:
     """95% point of the largest eigenvalue of S2^{-1} S1 under the null.
 
     Johnstone's (2008) centring and scale for the logit of the largest
@@ -183,7 +181,7 @@ def _tracy_widom_q95(p: int, n: float, t_len: float) -> float:
 
 def estimate_count(
     eigenvalues: np.ndarray,
-    params: FisherParams,
+    dims: ModelDims,
     config: DetectorConfig = DetectorConfig(),
 ) -> int:
     """Signal count: eigenvalues at or above the shifted bulk edge.
@@ -192,21 +190,20 @@ def estimate_count(
     `DetectorConfig.levels`.
 
     Args:
-        eigenvalues: 1-d array sorted in descending order (the natural
-            output order of the samplers).
-        params: dimension ratios fixing the bulk edge, typically the
-            finite-sample ratios (p/T, p/n).
+        eigenvalues: the whole spectrum, dims.p values sorted in descending
+            order (the natural output order of the samplers).
+        dims: the (p, n, T) the spectrum came from.
 
     Raises:
-        ParameterError: if the input is empty, not 1-d, contains
-            non-finite values, or is not sorted descending.
+        ParameterError: unless the input is a 1-d array of dims.p finite
+            values sorted descending.
     """
     vals = finite_array(eigenvalues, "eigenvalues", ndim=1)
-    if vals.size == 0:
-        raise ParameterError("eigenvalues must be nonempty")
+    if vals.size != dims.p:
+        raise ParameterError(f"need all dims.p={dims.p} eigenvalues, got {vals.size}")
     if np.any(np.diff(vals) > 0.0):
         raise ParameterError("eigenvalues must be sorted in descending order")
-    threshold, gate = config.levels(params, vals.size)
+    threshold, gate = config.levels(dims)
     if vals[0] < gate:
         return 0
     return int(np.count_nonzero(vals >= threshold))
@@ -216,8 +213,8 @@ def records_spectrum(
     signal_records: np.ndarray,
     noise_records: np.ndarray,
     center: bool = False,
-) -> tuple[np.ndarray, FisherParams]:
-    """Fisher spectrum of raw records plus the finite-sample ratios.
+) -> tuple[np.ndarray, ModelDims]:
+    """Fisher spectrum of raw records plus their dimensions.
 
     Forms S1 from the p x T signal-bearing records and S2 from the p x n
     noise-only records and solves the pencil.
@@ -227,7 +224,7 @@ def records_spectrum(
             n; records are assumed centered by default).
 
     Returns:
-        Descending eigenvalues and FisherParams(p/T, p/n).
+        Descending eigenvalues and ModelDims(p, n, T) read from the shapes.
 
     Raises:
         ParameterError: unless both records are finite real matrices with
@@ -244,7 +241,7 @@ def records_spectrum(
     if center:
         x = x - x.mean(axis=1, keepdims=True)
         z = z - z.mean(axis=1, keepdims=True)
-    return _gram_pencil(x, z), dims.fisher_params()
+    return _gram_pencil(x, z), dims
 
 
 def detect(
@@ -255,11 +252,10 @@ def detect(
 ) -> int:
     """Estimate the signal count from raw records.
 
-    Applies `estimate_count` to the Fisher spectrum of the records at the
-    finite-sample ratios; see `records_spectrum`.
+    Applies `estimate_count` to the Fisher spectrum of the records at
+    their dimensions; see `records_spectrum`.
     """
-    vals, params = records_spectrum(signal_records, noise_records, center)
-    return estimate_count(vals, params, config)
+    return estimate_count(*records_spectrum(signal_records, noise_records, center), config)
 
 
 def _whitened_mixing(model: SignalModel) -> np.ndarray:

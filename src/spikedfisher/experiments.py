@@ -9,7 +9,7 @@ whitened records with `sampling._gram_pencil` (`_detection_spectrum`).
 Replicates are embarrassingly parallel;
 each one derives its own counter-based stream from (master_seed, stream
 tag, replicate index), so results are bit-identical for any thread count
-and any scheduling order.  While the replicates run, BLAS runs on one
+and any scheduling order.  While a study runs, BLAS runs on one
 thread (`sampling._one_blas_thread`): worker threads, at most one per
 core, are the only parallelism, and the bits do not depend on the
 machine's BLAS thread setting.
@@ -203,16 +203,15 @@ class FrequencyTable:
 def _map_indexed(worker, count: int, threads: int) -> list:
     """Run worker(0..count-1), results in index order regardless of threads.
 
-    BLAS runs on one thread meanwhile, and at most one worker starts per
-    core: a larger `threads` is accepted and capped.
+    At most one worker starts per core: a larger `threads` is accepted and
+    capped.
     """
     require_count(threads, "thread count", 1)
     workers = min(threads, count, os.cpu_count() or 1)
-    with _one_blas_thread():
-        if workers <= 1:
-            return [worker(i) for i in range(count)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(count)))
+    if workers <= 1:
+        return [worker(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, range(count)))
 
 
 def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
@@ -250,12 +249,13 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
         packets = spectrum_packets(sample, spec)
         return tuple(scale * (packet - c.lam) for packet, c in zip(packets, consts))
 
-    per_replicate = _map_indexed(one, config.replicates, threads)
+    with _one_blas_thread():
+        per_replicate = _map_indexed(one, config.replicates, threads)
+        limit_rng = stream_generator(config.master_seed, _LIMIT_STREAM)
+        limit = tuple(
+            sample_limit_batch(limit_rng, params, spec, v4, size=config.replicates)
+        )
     empirical = tuple(np.vstack(column) for column in zip(*per_replicate))
-    limit_rng = stream_generator(config.master_seed, _LIMIT_STREAM)
-    limit = tuple(
-        sample_limit_batch(limit_rng, params, spec, v4, size=config.replicates)
-    )
     return CltStudyResult(constants=consts, empirical=empirical, limit=limit)
 
 
@@ -275,21 +275,22 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
 
     Each rung's SignalModel is whitened once (`detect._whitened_mixing`).
     Each replicate draws its records from its own stream
-    (`_detection_spectrum`), counts signals at the rung's finite-sample
-    ratios, and lands in one of the count bins 0..4 or "5+".
+    (`_detection_spectrum`), counts signals at the rung's dims, and lands
+    in one of the count bins 0..4 or "5+".
     """
     freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
-    for entry, model in enumerate(config.models):
-        mixing, params = _whitened_mixing(model), model.dims.fisher_params()
+    with _one_blas_thread():
+        for entry, model in enumerate(config.models):
+            mixing = _whitened_mixing(model)
 
-        # Runs to completion inside this iteration, so it may read the loop variables.
-        def one(rep: int) -> int:
-            rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
-            vals = _detection_spectrum(rng, mixing, model.dims, config.dist)
-            return estimate_count(vals, params, config.detector)
+            # Runs to completion inside this iteration, so it may read the loop variables.
+            def one(rep: int) -> int:
+                rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
+                vals = _detection_spectrum(rng, mixing, model.dims, config.dist)
+                return estimate_count(vals, model.dims, config.detector)
 
-        for k_hat in _map_indexed(one, config.replicates, threads):
-            freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1
+            for k_hat in _map_indexed(one, config.replicates, threads):
+                freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1
     freq /= config.replicates
 
     ladder = [m.dims for m in config.models]

@@ -21,8 +21,8 @@ Two paths give it, each with its own stream order:
   This is exact in law for Gaussian entries only.
 
 BLAS threading changes the rounding of both the Grams and the pencil, so
-`_one_blas_thread` runs BLAS on one thread while a command or a replicate
-loop is in progress; replicates parallelize through worker threads instead.
+`_one_blas_thread` runs BLAS on one thread while a command or a study is
+in progress; replicates parallelize through worker threads instead.
 Those threads overlap because a replicate's LAPACK routines (dtrtrs and
 dsyevr on the Bartlett path, dsygvd for the pencil) are called through
 ctypes, which releases the GIL, with the arguments scipy.linalg would pass.
@@ -144,17 +144,9 @@ class ModelDims:
             return cls(*value)
         raise ParameterError(f"dimensions must be [p, n, T], got {value!r}")
 
-    @property
-    def c_p(self) -> float:
-        return self.p / self.T
-
-    @property
-    def y_p(self) -> float:
-        return self.p / self.n
-
     def fisher_params(self) -> FisherParams:
-        """Finite-sample stand-ins for the limiting ratios."""
-        return FisherParams(c=self.c_p, y=self.y_p)
+        """Finite-sample stand-ins (p/T, p/n) for the limiting ratios."""
+        return FisherParams(c=self.p / self.T, y=self.p / self.n)
 
 
 # The LAPACK routines of a replicate and their argument counts.

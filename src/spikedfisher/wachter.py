@@ -83,10 +83,19 @@ class SupportEdges:
 
 
 def support_edges(params: FisherParams) -> SupportEdges:
-    """Edges of the bulk: ((1 -+ r) / (1 - y))^2 with r = sqrt(c + y - c y)."""
+    """Edges of the bulk: ((1 -+ r) / (1 - y))^2 with r = sqrt(c + y - c y).
+
+    Raises:
+        ParameterError: if an edge overflows the float range.
+    """
     scale = 1.0 / (1.0 - params.y)
     root = params.edge_root
-    return SupportEdges(lower=(scale * (1.0 - root)) ** 2, upper=(scale * (1.0 + root)) ** 2)
+    try:
+        return SupportEdges(lower=(scale * (1.0 - root)) ** 2, upper=(scale * (1.0 + root)) ** 2)
+    except OverflowError:
+        raise ParameterError(
+            f"the support edges at c={params.c}, y={params.y} overflow the float range"
+        ) from None
 
 
 def critical_interval(params: FisherParams) -> tuple[float, float]:

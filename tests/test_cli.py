@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikedfisher
@@ -129,6 +129,12 @@ class TestLaw:
         assert "has no width in floating point" in err and "need --x-min" not in err
         assert not out.exists()
         assert run_cli("law", c, 0.2, "--points", 1, "--out-dir", out) == 0
+
+    def test_overflowing_support_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("law", 1.7e308, 0.2, "--out-dir", out) == 2
+        assert "support edges at c=1.7e+308, y=0.2 overflow" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "window, flag",
@@ -676,6 +682,18 @@ class TestConfigProperty:
             for flag, value in (("x-min", x_min), ("x-max", x_max)):
                 argv += [] if value is None else [f"--{flag}={value!r}"]
             assert run_cli(*argv, "--", repr(c), repr(y)) in (0, 2, 3)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0, 1, 2, 16]),
+    )
+    @example(c=1.7e308, y=0.2, points=16)
+    def test_law_ratios_never_exit_three(self, c, y, points):
+        # A finite positive c and any y have no numerical breakdown: exit 0 or 2.
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_cli("law", "--points", points, "--out-dir", Path(tmp) / "out", "--", c, y) in (0, 2)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(_RECORDS, _RECORDS, st.booleans(), st.integers(-1, 4), st.one_of(st.none(), _LAW_REAL))

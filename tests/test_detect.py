@@ -82,36 +82,42 @@ class TestDetectorConfig:
 
 
 class TestEstimateCount:
-    PARAMS = FisherParams(c=0.2, y=0.5)
+    @staticmethod
+    def dims(p):
+        """Dimensions with the ratios (p/T, p/n) = (0.2, 0.5) exactly."""
+        return ModelDims(p=p, n=2 * p, T=5 * p)
 
     def test_counts_above_shifted_edge(self):
-        upper = support_edges(self.PARAMS).upper
+        upper = support_edges(FisherParams(c=0.2, y=0.5)).upper
         config = DetectorConfig(shift=0.5)
         vals = np.array([40.0, upper + 0.6, upper + 0.5, upper + 0.4, 5.0, 1.0])
-        assert estimate_count(vals, self.PARAMS, config) == 3
+        assert estimate_count(vals, self.dims(6), config) == 3
 
     def test_monotone_in_shift(self):
         rng = ensure_generator(9)
         vals = np.sort(rng.uniform(0.0, 20.0, size=60))[::-1]
         counts = [
-            estimate_count(vals, self.PARAMS, DetectorConfig(shift=s))
+            estimate_count(vals, self.dims(60), DetectorConfig(shift=s))
             for s in (0.01, 0.1, 1.0, 5.0)
         ]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError):
-            estimate_count(np.array([1.0, 2.0, 0.5]), self.PARAMS)
+            estimate_count(np.array([1.0, 2.0, 0.5]), self.dims(3))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ParameterError):
-            estimate_count(np.zeros((2, 2)), self.PARAMS)
+            estimate_count(np.zeros((2, 2)), self.dims(2))
         with pytest.raises(ParameterError):
-            estimate_count(np.array([]), self.PARAMS)
+            estimate_count(np.array([]), self.dims(2))
         with pytest.raises(ParameterError):
-            estimate_count(np.array([np.nan, 1.0]), self.PARAMS)
+            estimate_count(np.array([np.nan, 1.0]), self.dims(2))
         with pytest.raises(ParameterError, match="real vector"):
-            estimate_count(["30", "2"], self.PARAMS)
+            estimate_count(["30", "2"], self.dims(2))
+        # A partial spectrum: the top 10 of 200 eigenvalues.
+        with pytest.raises(ParameterError, match="dims.p=200 eigenvalues, got 10"):
+            estimate_count(np.linspace(20.0, 0.5, 200)[:10], self.dims(200))
 
 
 class TestGate:
@@ -134,7 +140,7 @@ class TestGate:
 
     def test_gate_reference_value(self):
         params = self.DIMS.fisher_params()
-        threshold, gate = DetectorConfig().levels(params, self.DIMS.p)
+        threshold, gate = DetectorConfig().levels(self.DIMS)
         assert gate == pytest.approx(self.johnstone_gate(200, 400, 1000), rel=1e-12)
         assert gate == pytest.approx(13.168762902155, rel=1e-12)
         assert threshold == pytest.approx(
@@ -144,37 +150,38 @@ class TestGate:
     def test_gate_not_below_threshold(self):
         for p, n, t_len in ((3, 6, 15), (50, 100, 250), (200, 400, 1000),
                             (20, 200, 10), (1000, 2000, 5000)):
-            params = ModelDims(p=p, n=n, T=t_len).fisher_params()
-            threshold, gate = DetectorConfig().levels(params, p)
+            threshold, gate = DetectorConfig().levels(ModelDims(p=p, n=n, T=t_len))
             assert gate >= threshold
+
+    def test_gate_reads_the_integer_dims(self):
+        # n = p/y and T = p/c rebuilt from the ratios are off by an ulp here.
+        assert DetectorConfig().levels(ModelDims(11, 15, 40))[1] == self.johnstone_gate(11, 15, 40)
 
     def test_explicit_shift_turns_gate_off(self):
         params = self.DIMS.fisher_params()
         config = DetectorConfig(shift=0.05)
-        threshold, gate = config.levels(params, self.DIMS.p)
+        threshold, gate = config.levels(self.DIMS)
         assert gate == threshold
         assert threshold == support_edges(params).upper + 0.05
         vals = np.linspace(13.0, 0.5, self.DIMS.p)
-        assert estimate_count(vals, params, config) == int(np.sum(vals >= threshold))
-        assert estimate_count(vals, params, config) > 0
+        assert estimate_count(vals, self.DIMS, config) == int(np.sum(vals >= threshold))
+        assert estimate_count(vals, self.DIMS, config) > 0
 
     def test_top_eigenvalue_below_gate_counts_zero(self):
-        params = self.DIMS.fisher_params()
-        threshold, gate = DetectorConfig().levels(params, self.DIMS.p)
+        threshold, gate = DetectorConfig().levels(self.DIMS)
         tail = np.linspace(threshold - 0.01, 0.3, self.DIMS.p - 3)
         for top in (threshold + 2e-3, (threshold + gate) / 2.0, np.nextafter(gate, 0.0)):
             vals = np.concatenate([[top, threshold + 1e-3, threshold], tail])
-            assert estimate_count(vals, params) == 0
+            assert estimate_count(vals, self.DIMS) == 0
 
     def test_top_eigenvalue_at_gate_gives_paper_count(self):
-        params = self.DIMS.fisher_params()
-        threshold, gate = DetectorConfig().levels(params, self.DIMS.p)
+        threshold, gate = DetectorConfig().levels(self.DIMS)
         paper = DetectorConfig(shift=DetectorConfig().offset(self.DIMS.p))
         tail = np.linspace(threshold - 0.01, 0.3, self.DIMS.p - 3)
         for top in (gate, gate + 0.5, 40.0):
             vals = np.concatenate([[top, threshold + 1e-3, threshold], tail])
-            assert estimate_count(vals, params) == 3
-            assert estimate_count(vals, params, paper) == 3
+            assert estimate_count(vals, self.DIMS) == 3
+            assert estimate_count(vals, self.DIMS, paper) == 3
 
 
     def test_cli_reports_gate(self, tmp_path, capsys):
@@ -185,8 +192,7 @@ class TestGate:
         argv = ["detect", "--signal", str(tmp_path / "x.npy"), "--noise", str(tmp_path / "z.npy")]
         assert cli_main(argv) == 0
         result = json.loads(capsys.readouterr().out)
-        params = FisherParams(c=p / t_len, y=p / n)
-        assert result["gate"] == DetectorConfig().levels(params, p)[1]
+        assert result["gate"] == DetectorConfig().levels(ModelDims(p, n, t_len))[1]
         assert result["gate"] >= result["threshold"]
         assert cli_main([*argv, "--dn-override", "0.5"]) == 0
         result = json.loads(capsys.readouterr().out)
@@ -245,10 +251,9 @@ class TestDetect:
         rng = ensure_generator(34)
         x = rng.standard_normal((10, 40))
         z = rng.standard_normal((10, 25))
-        vals, params = records_spectrum(x, z)
+        vals, dims = records_spectrum(x, z)
         assert vals.shape == (10,)
-        assert params.c == pytest.approx(0.25)
-        assert params.y == pytest.approx(0.4)
+        assert dims == ModelDims(p=10, n=25, T=40)
 
 
 class TestEffectiveSpikes:

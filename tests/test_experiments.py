@@ -206,7 +206,6 @@ class TestWhitenedReplicate:
     def test_matches_dense_root_records(self, kind, dist):
         model = self.MODELS[kind](self.DIMS)
         mixing = _whitened_mixing(model)
-        params = self.DIMS.fisher_params()
         counts = np.zeros(len(experiments.COUNT_BIN_LABELS))
         for rep in range(self.REPS):
             stream = (5, experiments._DETECT_STREAM, 0, rep)
@@ -215,7 +214,7 @@ class TestWhitenedReplicate:
             )
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
-            counts[min(estimate_count(dense, params), counts.size - 1)] += 1
+            counts[min(estimate_count(dense, self.DIMS), counts.size - 1)] += 1
         config = small_detection_config(models=[model], dist=dist, replicates=self.REPS, master_seed=5)
         np.testing.assert_array_equal(run_detection_study(config).frequencies[:, 0], counts / self.REPS)
 
@@ -269,10 +268,62 @@ class TestMapIndexed:
             with pytest.raises(ParameterError, match="thread count"):
                 experiments._map_indexed(lambda i: i, 3, threads)
 
-    def test_blas_pinned_while_workers_run(self):
+    def test_blas_pinned_while_workers_run(self, monkeypatch):
         pinned = 1 if len(sampling._BLAS_CONTROLS) == 2 else None
-        seen = experiments._map_indexed(lambda i: sampling._blas_threads(), 4, 2)
-        assert seen == [pinned] * 4
+        seen = []
+        spectrum = experiments._detection_spectrum
+
+        def recording(*args):
+            seen.append(sampling._blas_threads())
+            return spectrum(*args)
+
+        monkeypatch.setattr(experiments, "_detection_spectrum", recording)
+        run_detection_study(small_detection_config(replicates=4), threads=2)
+        assert seen == [pinned] * 8
+
+
+class TestStudiesPinBlas:
+    """A study runs all of its BLAS work on one thread, whatever its caller set."""
+
+    @pytest.fixture
+    def two_blas_threads(self):
+        controls = sampling._BLAS_CONTROLS
+        if len(controls) != 2:
+            pytest.skip("needs the thread controls of both OpenBLAS copies")
+        before = [get() for get, _ in controls]
+        for _, put in controls:
+            put(2)
+        try:
+            if sampling._blas_threads() != 2:
+                pytest.skip("OpenBLAS runs on fewer than two threads here")
+            yield
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
+
+    @staticmethod
+    def record_threads(monkeypatch, name):
+        seen = []
+        func = getattr(experiments, name)
+
+        def recording(*args, **kwargs):
+            seen.append(sampling._blas_threads())
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, recording)
+        return seen
+
+    def test_detection_study_whitens_on_one_thread(self, monkeypatch, two_blas_threads):
+        seen = self.record_threads(monkeypatch, "_whitened_mixing")
+        run_detection_study(small_detection_config(replicates=2))
+        assert seen == [1] * len(LADDER)
+        assert sampling._blas_threads() == 2
+
+    def test_clt_study_draws_the_limit_on_one_thread(self, monkeypatch, two_blas_threads):
+        seen = self.record_threads(monkeypatch, "sample_limit_batch")
+        run_clt_study(small_clt_config(replicates=4))
+        assert seen == [1]
+        assert sampling._blas_threads() == 2
 
 
 class TestFrequencyTable:

@@ -55,10 +55,7 @@ class TestEntryDistribution:
 
 class TestModelDims:
     def test_ratios(self):
-        dims = ModelDims(p=200, n=400, T=1000)
-        assert dims.c_p == pytest.approx(0.2)
-        assert dims.y_p == pytest.approx(0.5)
-        params = dims.fisher_params()
+        params = ModelDims(p=200, n=400, T=1000).fisher_params()
         assert (params.c, params.y) == (0.2, 0.5)
 
     def test_requires_p_below_n(self):
