@@ -493,7 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument(
         "--dn-override", type=float, default=None, help="fixed threshold offset replacing the d_n rule"
     )
-    p_det.add_argument("--center", action="store_true", help="subtract row means first")
+    p_det.add_argument(
+        "--center",
+        action="store_true",
+        help="subtract row means first and score at n - 1 and T - 1 degrees of freedom",
+    )
     p_det.add_argument("--top", type=int, default=10, help="eigenvalues to report")
     p_det.add_argument("--out-dir", default=None, help="also write result.json and manifest.json")
     p_det.set_defaults(func=cmd_detect)

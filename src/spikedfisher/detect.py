@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
-from .sampling import ModelDims, _gram_pencil
+from .sampling import ModelDims, _zero_beyond_rank, pencil_eigenvalues
 from .wachter import support_edges
 
 __all__ = [
@@ -217,18 +217,24 @@ def records_spectrum(
     """Fisher spectrum of raw records plus their dimensions.
 
     Forms S1 from the p x T signal-bearing records and S2 from the p x n
-    noise-only records and solves the pencil.
+    noise-only records and solves the pencil.  The last p - min(p, T)
+    eigenvalues, past the rank of S1, are exact zeros.
 
     Args:
-        center: subtract each row's sample mean first (divisors stay T and
-            n; records are assumed centered by default).
+        center: subtract each row's sample mean first; records are assumed
+            centered by default.  Centering spends one degree of freedom of
+            each record set, so the Grams are divided by T - 1 and n - 1 and
+            the returned dims are (p, n - 1, T - 1), at which the null law of
+            Gaussian records is that of the uncentered spectrum (this needs
+            p < n - 1 and T >= 2).
 
     Returns:
-        Descending eigenvalues and ModelDims(p, n, T) read from the shapes.
+        Descending eigenvalues and the ModelDims they are scored at:
+        (p, n, T) read from the shapes, or (p, n - 1, T - 1) with `center`.
 
     Raises:
         ParameterError: unless both records are finite real matrices with
-            one row count p and p < n.
+            one row count p and p < n (p < n - 1 and T >= 2 with `center`).
     """
     x = finite_array(signal_records, "signal records")
     z = finite_array(noise_records, "noise records")
@@ -241,7 +247,14 @@ def records_spectrum(
     if center:
         x = x - x.mean(axis=1, keepdims=True)
         z = z - z.mean(axis=1, keepdims=True)
-    return _gram_pencil(x, z), dims
+        try:
+            dims = ModelDims(p=dims.p, n=dims.n - 1, T=dims.T - 1)
+        except ParameterError as exc:
+            raise ParameterError(
+                f"centered records have n - 1 and T - 1 degrees of freedom: {exc}"
+            ) from None
+    vals = pencil_eigenvalues(x @ x.T / dims.T, z @ z.T / dims.n)
+    return _zero_beyond_rank(vals, dims), dims
 
 
 def detect(

@@ -4,9 +4,10 @@ Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
 pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
 fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
 counter along a ladder of record models.  Both end in the sampling core: a CLT
-replicate is `sampling.sample_spectrum`, a detection replicate solves its
-whitened records with `sampling._gram_pencil` (`_detection_spectrum`).
-Replicates are embarrassingly parallel;
+replicate is `sampling.sample_spectrum`; a detection replicate draws its
+whitened records (`_detection_records`) and counts its signals from two
+factorizations of the pencil, by inertia (`sampling._gram_count`), since
+the count needs no eigenvalue.  Replicates are embarrassingly parallel;
 each one derives its own counter-based stream from (master_seed, stream
 tag, replicate index), so results are bit-identical for any thread count
 and any scheduling order.  While a study runs, BLAS runs on one
@@ -25,13 +26,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .detect import DetectorConfig, SignalModel, _whitened_mixing, estimate_count
+from .detect import DetectorConfig, SignalModel, _whitened_mixing
 from .errors import ParameterError, finite_array, require_buffer, require_count, require_real
 from .randomness import require_seed, stream_generator
 from .sampling import (
     EntryDistribution,
     ModelDims,
-    _gram_pencil,
+    _gram_count,
     _one_blas_thread,
     sample_spectrum,
     spectrum_packets,
@@ -259,35 +260,40 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     return CltStudyResult(constants=consts, empirical=empirical, limit=limit)
 
 
-def _detection_spectrum(rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDistribution) -> np.ndarray:
-    """Spectrum of the records A s + Sigma2^{1/2} e and Sigma2^{1/2} z from the stream s, e, z.
+def _detection_records(
+    rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDistribution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened records (M s + e, z) for the records A s + Sigma2^{1/2} e and Sigma2^{1/2} z.
 
-    Congruence by Sigma2^{-1/2} keeps the pencil's eigenvalues for every sample and
-    entry law, and turns the records into M s + e and z (M: `detect._whitened_mixing`).
+    The stream gives s, e, z in that order.  Congruence by Sigma2^{-1/2} keeps
+    the pencil's eigenvalues for every sample and entry law, and turns the raw
+    records into these (M: `detect._whitened_mixing`).
     """
     s = dist.draw(rng, (mixing.shape[1], dims.T))
     x = mixing @ s + dist.draw(rng, (dims.p, dims.T))
-    return _gram_pencil(x, dist.draw(rng, (dims.p, dims.n)))
+    return x, dist.draw(rng, (dims.p, dims.n))
 
 
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder of models.
 
-    Each rung's SignalModel is whitened once (`detect._whitened_mixing`).
-    Each replicate draws its records from its own stream
-    (`_detection_spectrum`), counts signals at the rung's dims, and lands
-    in one of the count bins 0..4 or "5+".
+    Each rung's SignalModel is whitened once (`detect._whitened_mixing`)
+    and its detector levels are read once at the rung's dims.  Each
+    replicate draws its records from its own stream (`_detection_records`),
+    counts signals by inertia (`sampling._gram_count`), and lands in one of
+    the count bins 0..4 or "5+".
     """
     freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
     with _one_blas_thread():
         for entry, model in enumerate(config.models):
             mixing = _whitened_mixing(model)
+            threshold, gate = config.detector.levels(model.dims)
 
             # Runs to completion inside this iteration, so it may read the loop variables.
             def one(rep: int) -> int:
                 rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
-                vals = _detection_spectrum(rng, mixing, model.dims, config.dist)
-                return estimate_count(vals, model.dims, config.detector)
+                x, z = _detection_records(rng, mixing, model.dims, config.dist)
+                return _gram_count(x, z, threshold, gate)
 
             for k_hat in _map_indexed(one, config.replicates, threads):
                 freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1
@@ -360,65 +366,6 @@ def kde_2d(
     return kern_x @ kern_y.T / (arr.shape[0] * h_x * h_y * 2.0 * math.pi)
 
 
-# cephes' coefficients, highest power first: erf on |x| <= 1 (T / U), erfc on
-# [1, 8) (P / Q) and beyond (R / S).  The leading 1.0 of each denominator is
-# cephes' implicit one (p1evl): 1.0 * x + c is exactly x + c.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2  # log of the largest double; erfc is 0 once x*x exceeds it
-_SQRT1_2 = math.sqrt(0.5)
-
-
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner's rule in cephes' order."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: float) -> float:
-    """cephes' erf for |x| <= 1."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-
-
-def _erfc(x: float) -> float:
-    """cephes' erfc for x >= 1/sqrt(2)."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if x * x > _MAXLOG:
-        return 0.0
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q)
-
-
-def _ndtr(a: float) -> float:
-    """The standard normal CDF as cephes' ndtr computes it: `scipy.special.ndtr`, bit for bit.
-
-    `math.exp` is libm's, as in cephes.  0.5 * math.erfc(-a / sqrt 2) differs
-    from it in the last bits at a third or more of all points.
-    """
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0.0 else y
-
-
 @dataclass(frozen=True)
 class SummaryStats:
     """Location, spread, and a goodness-of-fit distance for one sample."""
@@ -451,9 +398,9 @@ def summarize(
     ref_var = require_real(variance if ref_var is None else ref_var, "reference variance")
     if ref_var <= 0.0:
         raise ParameterError(f"reference variance must be positive, got {ref_var}")
-    # The KS statistic as scipy.stats.kstest computes it, bit for bit.
+    # The KS statistic as scipy.stats.kstest computes it, to within an ulp.
     z = (np.sort(arr) - ref_mean) / math.sqrt(ref_var)
-    cdf = np.fromiter(map(_ndtr, z.tolist()), float, z.size)
+    cdf = np.fromiter((0.5 * math.erfc(-v / math.sqrt(2)) for v in z.tolist()), float, z.size)
     steps = np.arange(arr.size + 1.0) / arr.size
     ks = float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
     return SummaryStats(mean=mean, variance=variance, ks_distance=ks)

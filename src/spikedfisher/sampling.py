@@ -11,7 +11,7 @@ Two paths give it, each with its own stream order:
 
 * Rademacher entries (the data path) draw W, then Z, form both Grams and
   solve the pencil through LAPACK's generalized symmetric-definite driver
-  (`_gram_pencil`, which also serves record files and detection replicates).
+  dsygvd (`_gram_pencil`; record files take the same solver).
 * Gaussian entries (the Bartlett path) use that W W^T and Z Z^T are
   Wishart: their lower-triangular Bartlett factors L1 and L2 have the same
   law, and L2 is already the Cholesky factor of the noise Gram.  The
@@ -20,13 +20,19 @@ Two paths give it, each with its own stream order:
   diagonal; the spectrum is that of B B^T n/T with B = L2^{-1} Sigma^{1/2} L1.
   This is exact in law for Gaussian entries only.
 
+A detection replicate needs only how many pencil eigenvalues lie above a
+level, so `_gram_count` forms the two Grams and reads that count from a
+Cholesky (dpotrf) and an LDL^T (dsytrf) factorization by Sylvester's law of
+inertia, solving no eigenproblem.
+
 BLAS threading changes the rounding of both the Grams and the pencil, so
 `_one_blas_thread` runs BLAS on one thread while a command or a study is
 in progress; replicates parallelize through worker threads instead.
 Those threads overlap because a replicate's LAPACK routines (dtrtrs and
-dsyevr on the Bartlett path, dsygvd for the pencil) are called through
-ctypes, which releases the GIL, with the arguments scipy.linalg would pass.
-They come from scipy's bundled OpenBLAS, so `scipy.linalg` is not imported
+dsyevr on the Bartlett path, dsygvd for the pencil, dpotrf and dsytrf for
+a count) are called through ctypes, which releases the GIL; the first three
+take the arguments scipy.linalg would pass, and so give its bits.  They
+come from scipy's bundled OpenBLAS, so `scipy.linalg` is not imported
 unless the build bundles none (`_lapack_routines`).
 """
 
@@ -150,11 +156,11 @@ class ModelDims:
 
 
 # The LAPACK routines of a replicate and their argument counts.
-_LAPACK_ARITY = {"dtrtrs": 10, "dsyevr": 21, "dsygvd": 14}
+_LAPACK_ARITY = {"dtrtrs": 10, "dsyevr": 21, "dsygvd": 14, "dpotrf": 5, "dsytrf": 8}
 
 
 def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
-    """(dtrtrs, dsyevr, dsygvd) of scipy's LAPACK, called through ctypes.
+    """The routines of `_LAPACK_ARITY` from scipy's LAPACK, in its order, called through ctypes.
 
     Every argument is a pointer.  A ctypes foreign call releases the GIL, so
     worker threads overlap inside LAPACK; scipy's f2py wrappers hold it for
@@ -186,7 +192,7 @@ def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
     )
 
 
-_dtrtrs, _dsyevr, _dsygvd = _lapack_routines(_SCIPY_OPENBLAS)
+_dtrtrs, _dsyevr, _dsygvd, _dpotrf, _dsytrf = _lapack_routines(_SCIPY_OPENBLAS)
 
 
 def _int(value: int):
@@ -203,6 +209,13 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
 def _check_info(routine: str, info: ctypes.c_int) -> None:
     if info.value != 0:
         raise NumericalError(f"LAPACK {routine} failed (info = {info.value})")
+
+
+def _singular_noise(order: int) -> NumericalError:
+    return NumericalError(
+        "noise covariance estimate is numerically singular; the Fisher matrix is undefined "
+        f"(leading minor of order {order} is not positive definite)"
+    )
 
 
 def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -235,10 +248,7 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         iwork.ctypes.data, _int(1), ctypes.byref(info),
     )
     if info.value > n:
-        raise NumericalError(
-            "noise covariance estimate is numerically singular; the Fisher matrix is undefined "
-            f"(leading minor of order {info.value - n} is not positive definite)"
-        )
+        raise _singular_noise(info.value - n)
     _check_info("dsygvd", info)
     return vals[::-1].copy()
 
@@ -290,9 +300,83 @@ def _one_blas_thread():
             put(count)
 
 
+def _grams(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S1 = X X^T / T and S2 = Z Z^T / n, each exactly symmetric (numpy forms them with syrk)."""
+    return x @ x.T / x.shape[1], z @ z.T / z.shape[1]
+
+
 def _gram_pencil(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Descending pencil eigenvalues of S1 = X X^T / T and S2 = Z Z^T / n."""
-    return pencil_eigenvalues(x @ x.T / x.shape[1], z @ z.T / z.shape[1])
+    return pencil_eigenvalues(*_grams(x, z))
+
+
+def _cholesky_info(a: np.ndarray) -> int:
+    """dpotrf's info on the symmetric `a`, which LAPACK may overwrite.
+
+    0 if `a` is numerically positive definite, otherwise the order of the
+    first leading minor that is not.  "U" on the C-ordered array reads its
+    lower triangle, as `pencil_eigenvalues` does.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    n, info = a.shape[0], ctypes.c_int()
+    _dpotrf(b"U", _int(n), a.ctypes.data, _int(max(1, n)), ctypes.byref(info))
+    if info.value < 0:
+        _check_info("dpotrf", info)
+    return info.value
+
+
+def _positive_inertia(a: np.ndarray) -> int:
+    """Number of positive eigenvalues of the symmetric `a`, which LAPACK may overwrite.
+
+    dsytrf factors A = U D U^T with D block diagonal, and by Sylvester's law
+    of inertia D has A's signs.  A 1 x 1 block counts when it is positive.  A
+    2 x 2 block of the Bunch-Kaufman pivoting has a negative determinant, so
+    one eigenvalue of each sign: it adds one, and both of its ipiv entries are
+    negative.  An exactly zero block (info > 0) counts as not positive.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    n = a.shape[0]
+    ipiv, info = np.empty(n, dtype=np.intc), ctypes.c_int()
+
+    def call(work: np.ndarray, lwork: int) -> None:
+        _dsytrf(
+            b"U", _int(n), a.ctypes.data, _int(max(1, n)), ipiv.ctypes.data,
+            work.ctypes.data, _int(lwork), ctypes.byref(info),
+        )
+        if info.value < 0:
+            _check_info("dsytrf", info)
+
+    size = np.empty(1)
+    call(size, -1)  # the workspace query: the blocked factorization's lwork
+    lwork = max(1, int(size[0]))
+    call(np.empty(lwork), lwork)
+    one_by_one = ipiv > 0
+    positive = np.count_nonzero(np.diagonal(a)[one_by_one] > 0.0)
+    return int(positive + np.count_nonzero(~one_by_one) // 2)
+
+
+def _gram_count(x: np.ndarray, z: np.ndarray, threshold: float, gate: float) -> int:
+    """The detector's count on the pencil of S1 = X X^T / T and S2 = Z Z^T / n, by inertia.
+
+    No eigenvalue is computed: 0 when the top eigenvalue l_1 is below `gate`, else #{l > threshold}
+    (gate >= threshold).  By Sylvester's law of inertia, l_1 < g exactly
+    when g S2 - S1 is positive definite, one Cholesky factorization, and the
+    eigenvalues above t are as many as the positive eigenvalues of S1 - t S2,
+    one LDL^T factorization (`_positive_inertia`).  The eigenvalue rule of
+    `detect.estimate_count` counts l >= t; the two differ only on exact ties.
+
+    Raises:
+        NumericalError: as `pencil_eigenvalues`: if S2 is not numerically
+            positive definite or an entry is not finite.
+    """
+    s1, s2 = _grams(x, z)
+    _require_finite("the pencil", s1, s2)
+    order = _cholesky_info(s2.copy())
+    if order:
+        raise _singular_noise(order)
+    if _cholesky_info(gate * s2 - s1) == 0:
+        return 0
+    return _positive_inertia(s1 - threshold * s2)
 
 
 def _wishart_factor(rng: np.random.Generator, p: int, dof: int) -> np.ndarray:
@@ -414,9 +498,21 @@ def sample_spectrum(
         vals = _gram_pencil(_spiked(w, spec), z)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("the spectrum overflowed; a spike value is too large")
+    return _zero_beyond_rank(vals, dims)
+
+
+def _zero_beyond_rank(vals: np.ndarray, dims: ModelDims) -> np.ndarray:
+    """The descending `vals`, in place, with the p - min(p, T) past S1's rank set to exact zeros.
+
+    A singular S1, which discrete entries can give, leaves negatives at
+    rounding level; they become zeros too.
+
+    Raises:
+        NumericalError: if one of the top min(p, T) eigenvalues is negative
+            beyond rounding (p eps times the top eigenvalue).
+    """
     rank = min(dims.p, dims.T)
     vals[rank:] = 0.0
-    # A singular S1, which discrete entries can give, leaves negatives at rounding level.
     if vals[rank - 1] < -dims.p * np.finfo(float).eps * vals[0]:
         raise NumericalError(f"pencil solver returned a negative eigenvalue {vals[rank - 1]:.3e}")
     return np.maximum(vals, 0.0, out=vals)

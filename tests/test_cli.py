@@ -435,7 +435,8 @@ class TestCapsuleRoute:
     def capsules(self, monkeypatch):
         # No library: the routines the resolver gives when the glob finds nothing.
         routines = sampling._lapack_routines(None)
-        for name, routine in zip(("_dtrtrs", "_dsyevr", "_dsygvd"), routines):
+        names = ("_dtrtrs", "_dsyevr", "_dsygvd", "_dpotrf", "_dsytrf")
+        for name, routine in zip(names, routines, strict=True):
             monkeypatch.setattr(sampling, name, routine)
 
     @pytest.mark.parametrize("name", ["clt_gaussian", "clt_rademacher"])
@@ -904,7 +905,8 @@ print(json.dumps(sorted(set(sys.modules) - before)))
             ref = (None, None) if k % 2 else (0.5, 2.0)
             m, v = (float(x.mean()), float(x.var(ddof=1))) if k % 2 else ref
             expected = stats.kstest(x, stats.norm(loc=m, scale=math.sqrt(v)).cdf).statistic
-            assert spikedfisher.summarize(x, *ref).ks_distance == expected, (size, k)
+            # math.erfc and scipy's ndtr may differ in the last bit of the CDF.
+            assert abs(spikedfisher.summarize(x, *ref).ks_distance - expected) <= np.finfo(float).eps, (size, k)
 
 
 class TestBlasDeterminism:

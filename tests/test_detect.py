@@ -255,6 +255,44 @@ class TestDetect:
         assert vals.shape == (10,)
         assert dims == ModelDims(p=10, n=25, T=40)
 
+    @pytest.mark.parametrize("p, n, t_len", [(6, 15, 25), (6, 15, 4)])
+    def test_centering_is_a_helmert_rotation(self, p, n, t_len):
+        # Centering multiplies the records on the right by H^T H, where the (T - 1) x T
+        # Helmert matrix H has orthonormal rows orthogonal to the ones vector.
+        from scipy.linalg import helmert
+
+        rng = ensure_generator(36)
+        x = rng.standard_normal((p, t_len)) + 2.0
+        z = rng.standard_normal((p, n)) - 1.0
+        centered, dims = records_spectrum(x, z, center=True)
+        rotated, rotated_dims = records_spectrum(x @ helmert(t_len).T, z @ helmert(n).T)
+        assert dims == rotated_dims == ModelDims(p=p, n=n - 1, T=t_len - 1)
+        np.testing.assert_allclose(centered, rotated, rtol=1e-10, atol=0.0)
+
+    def test_centered_null_size(self):
+        # Gaussian null records around a mean of 3.  Scored at (p, n, T) the size was 0.106
+        # (SE 0.002, 20,000 replicates); at the centered dims it is near 0.05.
+        rng = ensure_generator(2026)
+        reps = 3000
+        alarms = sum(
+            detect(rng.standard_normal((10, 25)) + 3.0, rng.standard_normal((10, 15)) + 3.0, center=True) > 0
+            for _ in range(reps)
+        )
+        assert 0.025 < alarms / reps < 0.07
+
+    def test_centering_needs_the_degrees_of_freedom(self):
+        rng = ensure_generator(37)
+        with pytest.raises(ParameterError, match="degrees of freedom.*p < n"):
+            records_spectrum(rng.standard_normal((5, 10)), rng.standard_normal((5, 6)), center=True)
+        with pytest.raises(ParameterError, match="degrees of freedom.*dimension T"):
+            records_spectrum(rng.standard_normal((5, 1)), rng.standard_normal((5, 12)), center=True)
+
+    def test_rank_deficient_signal_gives_exact_zeros(self):
+        rng = ensure_generator(38)
+        vals, _ = records_spectrum(rng.standard_normal((20, 8)), rng.standard_normal((20, 50)))
+        assert np.all(vals[:8] > 0.0)
+        assert np.all(vals[8:] == 0.0)
+
 
 class TestEffectiveSpikes:
     def test_block_noise_reference(self):

@@ -16,6 +16,7 @@ from spikedfisher import (
     EntryDistribution,
     FrequencyTable,
     ModelDims,
+    NumericalError,
     ParameterError,
     SignalModel,
     SpikeSpec,
@@ -209,9 +210,10 @@ class TestWhitenedReplicate:
         counts = np.zeros(len(experiments.COUNT_BIN_LABELS))
         for rep in range(self.REPS):
             stream = (5, experiments._DETECT_STREAM, 0, rep)
-            whitened = experiments._detection_spectrum(
+            records = experiments._detection_records(
                 stream_generator(*stream), mixing, self.DIMS, dist
             )
+            whitened = sampling._gram_pencil(*records)
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
             counts[min(estimate_count(dense, self.DIMS), counts.size - 1)] += 1
@@ -224,6 +226,76 @@ class TestWhitenedReplicate:
         np.testing.assert_allclose(
             effective_spikes(model), np.linalg.eigvalsh(gram)[::-1], rtol=1e-12
         )
+
+
+class TestInertiaCount:
+    """A detection replicate's count by inertia equals the eigenvalue rule on the whole spectrum."""
+
+    REPS = 12
+    # (model, dims): T < p makes S1 singular (c > 1); n = p + 2 puts S2 near singular.
+    CASES = {
+        "null": (null_model, ModelDims(p=40, n=80, T=200)),
+        "block-noise": (block_noise_model, ModelDims(p=40, n=80, T=200)),
+        "equicorrelated": (lambda dims: equicorrelated_model(dims, rho=0.3), ModelDims(p=40, n=80, T=200)),
+        "wide-signal": (block_noise_model, ModelDims(p=40, n=80, T=30)),
+        "n-near-p": (block_noise_model, ModelDims(p=40, n=42, T=200)),
+    }
+
+    @pytest.mark.parametrize("shift", [None, 0.05], ids=["gated", "shift"])
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_eigenvalue_rule(self, case, dist, shift):
+        build, dims = self.CASES[case]
+        mixing = _whitened_mixing(build(dims))
+        detector = DetectorConfig(shift=shift)
+        threshold, gate = detector.levels(dims)
+        assert (gate == threshold) == (shift is not None)
+        for rep in range(self.REPS):
+            rng = stream_generator(11, experiments._DETECT_STREAM, 0, rep)
+            x, z = experiments._detection_records(rng, mixing, dims, dist)
+            expected = estimate_count(sampling._gram_pencil(x, z), dims, detector)
+            assert sampling._gram_count(x, z, threshold, gate) == expected, rep
+
+    def test_counts_above_the_threshold_and_gates_below(self):
+        # S1 = diag(9, 4, 1) and S2 = I exactly, so the pencil's eigenvalues are 9, 4 and 1.
+        x = np.zeros((3, 4))
+        x[[0, 1, 2], [0, 1, 2]] = [6.0, 4.0, 2.0]
+        z = np.zeros((3, 16))
+        z[[0, 1, 2], [0, 1, 2]] = 4.0
+
+        def count(threshold, gate):
+            return sampling._gram_count(x, z, threshold, gate)
+
+        assert [count(t, t) for t in (0.5, 1.5, 5.0, 10.0)] == [3, 2, 1, 0]
+        assert count(0.5, 9.5) == 0
+        assert count(0.5, 9.0) == 3  # 9 S2 - S1 is singular, not positive definite: l_1 clears g
+        # On a tie the inertia counts l > t: 1, where the eigenvalue rule l >= t counts 2.
+        assert count(4.0, 4.0) == 1
+
+    def test_positive_inertia(self):
+        # A zero diagonal forces a 2 x 2 Bunch-Kaufman block, with one eigenvalue of each sign.
+        assert sampling._positive_inertia(np.array([[0.0, 1.0], [1.0, 0.0]])) == 1
+        assert sampling._positive_inertia(np.zeros((3, 3))) == 0
+        rng = ensure_generator(23)
+        for size in (1, 2, 5, 40, 130):
+            a = rng.standard_normal((size, size))
+            a = a + a.T
+            expected = int(np.count_nonzero(np.linalg.eigvalsh(a) > 0.0))
+            assert sampling._positive_inertia(a.copy()) == expected, size
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_noise_rows_raise(self, seed):
+        # Binary entries give S2 a unit diagonal, and the first pivot is exactly 1, so a copy
+        # of the first row cancels exactly in the Cholesky factorization.  Other copies can
+        # leave a pivot at rounding level, which the factorization takes as positive.
+        rng = ensure_generator(seed)
+        x, z = RADEMACHER.draw(rng, (10, 40)), RADEMACHER.draw(rng, (10, 30))
+        z[1 + seed] = z[0]
+        with pytest.raises(NumericalError, match="noise covariance") as by_inertia:
+            sampling._gram_count(x, z, 1.0, 2.0)
+        with pytest.raises(NumericalError) as by_spectrum:
+            sampling._gram_pencil(x, z)
+        assert str(by_inertia.value) == str(by_spectrum.value)
 
 
 class TestMapIndexed:
@@ -271,13 +343,13 @@ class TestMapIndexed:
     def test_blas_pinned_while_workers_run(self, monkeypatch):
         pinned = 1 if len(sampling._BLAS_CONTROLS) == 2 else None
         seen = []
-        spectrum = experiments._detection_spectrum
+        records = experiments._detection_records
 
         def recording(*args):
             seen.append(sampling._blas_threads())
-            return spectrum(*args)
+            return records(*args)
 
-        monkeypatch.setattr(experiments, "_detection_spectrum", recording)
+        monkeypatch.setattr(experiments, "_detection_records", recording)
         run_detection_study(small_detection_config(replicates=4), threads=2)
         assert seen == [pinned] * 8
 
@@ -448,32 +520,3 @@ class TestSummarize:
             summarize([1.0, 2.0, 3.0], float("nan"), 1.0)
         with pytest.raises(ParameterError, match="reference variance"):
             summarize([1.0, 2.0, 3.0], 0.0, math.inf)
-
-
-class TestNdtr:
-    """The port of cephes' ndtr against `scipy.special.ndtr` as the oracle: the same values."""
-
-    # ndtr's erf/erfc switch (|a| = 1, |x| = 1/sqrt 2), erfc's switches to
-    # 1 - erf (a = sqrt 2) and to its far-tail fit (a = 8 sqrt 2), and the
-    # underflow of exp(-x^2) (x^2 = MAXLOG).
-    BRANCHES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * experiments._MAXLOG)]
-    POINTS = [0.0, 1e-3, 8.0, 40.0, math.inf]
-
-    @staticmethod
-    def assert_same(points):
-        from scipy.special import ndtr
-
-        points = np.asarray(points, dtype=float)
-        assert [experiments._ndtr(a) for a in points.tolist()] == ndtr(points).tolist()
-
-    def test_branch_points_and_their_neighbours(self):
-        points = np.array(self.BRANCHES + self.POINTS)
-        points = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, math.inf)])
-        self.assert_same(np.concatenate([points, -points]))
-
-    def test_infinities_give_zero_and_one(self):
-        assert experiments._ndtr(-math.inf) == 0.0
-        assert experiments._ndtr(math.inf) == 1.0
-
-    def test_standard_normals(self):
-        self.assert_same(ensure_generator(31).standard_normal(100_000))

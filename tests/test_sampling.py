@@ -346,8 +346,11 @@ class TestLapackCalls:
             lambda: sampling._solve_lower(poisoned, np.ones((4, 2))),
             lambda: sampling._solve_lower(np.eye(4), poisoned),
             lambda: sampling._symmetric_eigenvalues(poisoned),
+            lambda: sampling._gram_count(poisoned, np.eye(4, 6), 1.0, 2.0),
+            lambda: sampling._gram_count(np.eye(4), poisoned, 1.0, 2.0),
         ):
-            with pytest.raises(NumericalError, match="non-finite"):
+            # Records holding inf give NaN Grams (inf * 0), which numpy warns about.
+            with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
                 call()
 
     def test_indefinite_noise_matrix(self):
@@ -372,21 +375,18 @@ class TestLapackCalls:
         for a, b in zip(serial, threaded, strict=True):
             np.testing.assert_array_equal(a, b)
 
-    def test_main_thread_runs_while_a_worker_solves(self):
+    @staticmethod
+    def assert_main_thread_runs(solve):
         # The solver releases the GIL: while a worker is inside it, the main
         # thread keeps running Python without a pause as long as the solve.
-        rng = ensure_generator(29)
-        p = 600
-        w, z = rng.standard_normal((p, 2 * p)), rng.standard_normal((p, 2 * p))
-        s1, s2 = w @ w.T, z @ z.T
         window = []
 
-        def solve():
+        def timed():
             start = time.perf_counter()
-            pencil_eigenvalues(s1, s2)
+            solve()
             window.extend([start, time.perf_counter()])
 
-        worker = threading.Thread(target=solve)
+        worker = threading.Thread(target=timed)
         pauses = []  # (start, end) of each main-thread pause above 1 ms
         with sampling._one_blas_thread():
             worker.start()
@@ -402,20 +402,37 @@ class TestLapackCalls:
         inside = [min(b, end) - max(a, start) for a, b in pauses if b > start and a < end]
         assert max(inside, default=0.0) < 0.5 * (end - start)
 
+    def test_main_thread_runs_while_a_worker_solves(self):
+        rng = ensure_generator(29)
+        p = 600
+        w, z = rng.standard_normal((p, 2 * p)), rng.standard_normal((p, 2 * p))
+        s1, s2 = w @ w.T, z @ z.T
+        self.assert_main_thread_runs(lambda: pencil_eigenvalues(s1, s2))
+
+    def test_main_thread_runs_while_a_worker_counts(self):
+        rng = ensure_generator(29)
+        p = 600
+        w, z = rng.standard_normal((p, 2 * p)), rng.standard_normal((p, 2 * p))
+        # A level inside the bulk, so all three factorizations run.
+        self.assert_main_thread_runs(lambda: sampling._gram_count(w, z, 1.0, 1.0))
+
+
+LAPACK_NAMES = ("dtrtrs", "dsyevr", "dsygvd", "dpotrf", "dsytrf")
+
 
 def _addresses(routines):
     return [ctypes.cast(routine, ctypes.c_void_p).value for routine in routines]
 
 
 def _capsule_addresses():
-    """The pointers `scipy.linalg.cython_lapack` exports for dtrtrs, dsyevr and dsygvd."""
+    """The pointers `scipy.linalg.cython_lapack` exports for dtrtrs, dsyevr, dsygvd, dpotrf and dsytrf."""
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    capsules = [scipy.linalg.cython_lapack.__pyx_capi__[name] for name in ("dtrtrs", "dsyevr", "dsygvd")]
+    capsules = [scipy.linalg.cython_lapack.__pyx_capi__[name] for name in LAPACK_NAMES]
     return [get_pointer(capsule, get_name(capsule)) for capsule in capsules]
 
 
@@ -437,8 +454,8 @@ class TestLapackRoute:
         library = sampling._SCIPY_OPENBLAS
         if library is None:
             pytest.skip("this scipy build bundles no OpenBLAS")
-        routines = (sampling._dtrtrs, sampling._dsyevr, sampling._dsygvd)
-        expected = [library.scipy_dtrtrs_, library.scipy_dsyevr_, library.scipy_dsygvd_]
+        routines = [getattr(sampling, f"_{name}") for name in LAPACK_NAMES]
+        expected = [getattr(library, f"scipy_{name}_") for name in LAPACK_NAMES]
         assert _addresses(routines) == _addresses(expected)
         assert "64_" not in library._name
 
@@ -453,11 +470,19 @@ class TestLapackRoute:
             x = sampling._spiked(sampling._wishart_factor(rng, p, t_len), SpikeSpec(((5.0, 1),)))
             l2 = sampling._wishart_factor(rng, p, n)
             w, z = RADEMACHER.draw(rng, (p, t_len)), RADEMACHER.draw(rng, (p, n))
-            library = sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z)
+            # Levels at the median eigenvalue and above the top one: dsytrf and both dpotrf calls run.
+            spectrum = sampling._gram_pencil(w, z)
+            levels = [(spectrum[p // 2], spectrum[p // 2]), (spectrum[0] + 1.0, spectrum[0] + 1.0)]
+
+            def outputs():
+                counts = [sampling._gram_count(w, z, t, g) for t, g in levels]
+                return sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z), counts
+
+            library = outputs()
             with monkeypatch.context() as patch:
-                for name, routine in zip(("_dtrtrs", "_dsyevr", "_dsygvd"), capsule_routines):
-                    patch.setattr(sampling, name, routine)
-                capsules = sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z)
+                for name, routine in zip(LAPACK_NAMES, capsule_routines, strict=True):
+                    patch.setattr(sampling, f"_{name}", routine)
+                capsules = outputs()
             for a, b in zip(library, capsules, strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=str((p, n, t_len)))
 
