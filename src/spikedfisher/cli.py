@@ -407,7 +407,7 @@ def _load_matrix(path: str) -> np.ndarray:
     try:
         if suffix == ".npy":
             arr = np.load(path)
-        elif suffix in (".csv", ".txt"):
+        elif suffix == ".csv":
             arr = np.loadtxt(path, delimiter=",", ndmin=2)
         else:
             raise ParameterError(

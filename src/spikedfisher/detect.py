@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
-from .sampling import ModelDims, _zero_beyond_rank, pencil_eigenvalues
+from .sampling import ModelDims, _data_spectrum
 from .wachter import support_edges
 
 __all__ = [
@@ -216,9 +216,9 @@ def records_spectrum(
 ) -> tuple[np.ndarray, ModelDims]:
     """Fisher spectrum of raw records plus their dimensions.
 
-    Forms S1 from the p x T signal-bearing records and S2 from the p x n
-    noise-only records and solves the pencil.  The last p - min(p, T)
-    eigenvalues, past the rank of S1, are exact zeros.
+    The p x T signal-bearing and p x n noise-only records take the data path
+    of a simulated replicate (`sampling._data_spectrum`): S1 and S2 are their
+    Grams, and the last p - min(p, T) eigenvalues, past S1's rank, are zeros.
 
     Args:
         center: subtract each row's sample mean first; records are assumed
@@ -235,6 +235,7 @@ def records_spectrum(
     Raises:
         ParameterError: unless both records are finite real matrices with
             one row count p and p < n (p < n - 1 and T >= 2 with `center`).
+        NumericalError: if S2 is singular to rounding, e.g. with a copied record row.
     """
     x = finite_array(signal_records, "signal records")
     z = finite_array(noise_records, "noise records")
@@ -253,8 +254,7 @@ def records_spectrum(
             raise ParameterError(
                 f"centered records have n - 1 and T - 1 degrees of freedom: {exc}"
             ) from None
-    vals = pencil_eigenvalues(x @ x.T / dims.T, z @ z.T / dims.n)
-    return _zero_beyond_rank(vals, dims), dims
+    return _data_spectrum(x, z, dims), dims
 
 
 def detect(

@@ -293,7 +293,7 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
             def one(rep: int) -> int:
                 rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
                 x, z = _detection_records(rng, mixing, model.dims, config.dist)
-                return _gram_count(x, z, threshold, gate)
+                return _gram_count(x, z, model.dims, threshold, gate)
 
             for k_hat in _map_indexed(one, config.replicates, threads):
                 freq[min(k_hat, len(COUNT_BIN_LABELS) - 1), entry] += 1

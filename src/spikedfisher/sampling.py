@@ -9,9 +9,9 @@ where Sigma is the identity outside the M x M spiked block; the result is
 the spectrum of the pencil (S1, S2), i.e. of the Fisher matrix S2^{-1} S1.
 Two paths give it, each with its own stream order:
 
-* Rademacher entries (the data path) draw W, then Z, form both Grams and
-  solve the pencil through LAPACK's generalized symmetric-definite driver
-  dsygvd (`_gram_pencil`; record files take the same solver).
+* The data path (`_data_spectrum`), taken by Rademacher replicates (W, then
+  Z) and record files: `_grams` forms both Grams, LAPACK's dsygvd solves
+  their pencil, and the eigenvalues past S1's rank become zeros.
 * Gaussian entries (the Bartlett path) use that W W^T and Z Z^T are
   Wishart: their lower-triangular Bartlett factors L1 and L2 have the same
   law, and L2 is already the Cholesky factor of the noise Gram.  The
@@ -21,19 +21,17 @@ Two paths give it, each with its own stream order:
   This is exact in law for Gaussian entries only.
 
 A detection replicate needs only how many pencil eigenvalues lie above a
-level, so `_gram_count` forms the two Grams and reads that count from a
-Cholesky (dpotrf) and an LDL^T (dsytrf) factorization by Sylvester's law of
-inertia, solving no eigenproblem.
+level, so `_gram_count` reads it from the Grams' Cholesky (dpotrf) and
+LDL^T (dsytrf) factorizations by Sylvester's law of inertia.
 
 BLAS threading changes the rounding of both the Grams and the pencil, so
 `_one_blas_thread` runs BLAS on one thread while a command or a study is
 in progress; replicates parallelize through worker threads instead.
-Those threads overlap because a replicate's LAPACK routines (dtrtrs and
-dsyevr on the Bartlett path, dsygvd for the pencil, dpotrf and dsytrf for
-a count) are called through ctypes, which releases the GIL; the first three
-take the arguments scipy.linalg would pass, and so give its bits.  They
-come from scipy's bundled OpenBLAS, so `scipy.linalg` is not imported
-unless the build bundles none (`_lapack_routines`).
+They overlap because every LAPACK routine is called through ctypes, which
+releases the GIL, by one convention (`_lapack`).  dtrtrs, dsyevr and dsygvd
+take the arguments scipy.linalg would pass, and so give its bits.  The
+routines come from scipy's bundled OpenBLAS, so `scipy.linalg` is not
+imported unless the build bundles none (`_lapack_routines`).
 """
 
 from __future__ import annotations
@@ -195,27 +193,61 @@ def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
 _dtrtrs, _dsyevr, _dsygvd, _dpotrf, _dsytrf = _lapack_routines(_SCIPY_OPENBLAS)
 
 
-def _int(value: int):
-    """A pointer to a fresh C int holding `value` (LAPACK takes every argument by reference)."""
-    return ctypes.byref(ctypes.c_int(value))
-
-
 def _require_finite(label: str, *arrays: np.ndarray) -> None:
     """Reject non-finite entries before LAPACK sees them, as scipy's check_finite did."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalError(f"{label} has non-finite entries")
 
 
-def _check_info(routine: str, info: ctypes.c_int) -> None:
-    if info.value != 0:
-        raise NumericalError(f"LAPACK {routine} failed (info = {info.value})")
+def _lapack(name: str, *args) -> int:
+    """Call the routine `_<name>`, looked up at call time, with `args` and a trailing info.
+
+    LAPACK takes every argument by reference: bytes pass as characters, ints
+    as C ints, floats as doubles and arrays by their data.  A negative info
+    (an argument LAPACK rejected) raises NumericalError; any other is returned.
+    """
+    refs = []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            arg = arg.ctypes.data
+        elif not isinstance(arg, bytes):
+            arg = ctypes.byref((ctypes.c_double if isinstance(arg, float) else ctypes.c_int)(arg))
+        refs.append(arg)
+    info = ctypes.c_int()
+    globals()[f"_{name}"](*refs, ctypes.byref(info))
+    if info.value < 0:
+        raise NumericalError(f"LAPACK {name} failed (info = {info.value})")
+    return info.value
 
 
-def _singular_noise(order: int) -> NumericalError:
-    return NumericalError(
-        "noise covariance estimate is numerically singular; the Fisher matrix is undefined "
-        f"(leading minor of order {order} is not positive definite)"
-    )
+def _lapack_with_workspace(name: str, *args, dtypes: tuple = (float,)) -> int:
+    """`_lapack` with the workspace the routine's size query (lwork = -1) asks for.
+
+    The workspaces come last in the call, a (work, lwork) pair for each
+    dtype in `dtypes`: dsytrf takes a float one, dsyevr a float and an int.
+    """
+    sizes = [np.empty(1, dtype=dtype) for dtype in dtypes]
+    _lapack(name, *args, *[arg for size in sizes for arg in (size, -1)])
+    works = [np.empty(max(1, int(size[0])), dtype=size.dtype) for size in sizes]
+    return _lapack(name, *args, *[arg for work in works for arg in (work, work.size)])
+
+
+def _require_definite_noise(order: int, factor: np.ndarray, s2: np.ndarray) -> None:
+    """Raise unless the noise Gram S2 = L L^T is positive definite beyond rounding.
+
+    `order` is the leading minor at which LAPACK's Cholesky factorization
+    broke down (0 if none), and `factor` holds L on its diagonal.  A pivot
+    with L_kk^2 <= (p + 1) eps S2_kk is within Cholesky's rounding error
+    (Higham 2002, Thm 10.3): a copied row of Gaussian records leaves one.
+    """
+    if not order:
+        small = np.diagonal(factor) ** 2 <= (len(s2) + 1) * np.finfo(float).eps * np.diagonal(s2)
+        order = int(np.argmax(small)) + 1 if small.any() else 0
+    if order:
+        raise NumericalError(
+            "noise covariance estimate is numerically singular; the Fisher matrix is undefined "
+            f"(leading minor of order {order} is not positive definite)"
+        )
 
 
 def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -227,8 +259,8 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
     Raises:
         ParameterError: unless S1 and S2 are square matrices of one shape.
-        NumericalError: if S2 is not numerically positive definite, which
-            makes the Fisher matrix undefined, or an entry is not finite.
+        NumericalError: if S2 is singular to rounding (`_require_definite_noise`),
+            which makes the Fisher matrix undefined, or an entry is not finite.
     """
     a = np.array(s1, dtype=float, order="F")
     b = np.array(s2, dtype=float, order="F")
@@ -241,15 +273,14 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     vals = np.empty(n)
     # The workspace scipy passes: a larger lwork runs a faster path with other bits.
     lwork = 2 * n + 1
-    work, iwork, info = np.empty(lwork), np.empty(1, dtype=np.intc), ctypes.c_int()
-    _dsygvd(
-        _int(1), b"N", b"L", _int(n), a.ctypes.data, _int(max(1, n)), b.ctypes.data,
-        _int(max(1, n)), vals.ctypes.data, work.ctypes.data, _int(lwork),
-        iwork.ctypes.data, _int(1), ctypes.byref(info),
+    info = _lapack(
+        "dsygvd", 1, b"N", b"L", n, a, max(1, n), b, max(1, n), vals,
+        np.empty(lwork), lwork, np.empty(1, dtype=np.intc), 1,
     )
-    if info.value > n:
-        raise _singular_noise(info.value - n)
-    _check_info("dsygvd", info)
+    # dsygvd leaves S2's Cholesky factor L in b; info > n is a breakdown at minor info - n.
+    _require_definite_noise(max(info - n, 0), b, s2)
+    if info:
+        raise NumericalError(f"LAPACK dsygvd did not converge (info = {info})")
     return vals[::-1].copy()
 
 
@@ -300,29 +331,17 @@ def _one_blas_thread():
             put(count)
 
 
-def _grams(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S1 = X X^T / T and S2 = Z Z^T / n, each exactly symmetric (numpy forms them with syrk)."""
-    return x @ x.T / x.shape[1], z @ z.T / z.shape[1]
+def _grams(x: np.ndarray, z: np.ndarray, dims: ModelDims) -> tuple[np.ndarray, np.ndarray]:
+    """S1 = X X^T / dims.T and S2 = Z Z^T / dims.n, exactly symmetric (numpy forms them with syrk).
 
-
-def _gram_pencil(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Descending pencil eigenvalues of S1 = X X^T / T and S2 = Z Z^T / n."""
-    return pencil_eigenvalues(*_grams(x, z))
-
-
-def _cholesky_info(a: np.ndarray) -> int:
-    """dpotrf's info on the symmetric `a`, which LAPACK may overwrite.
-
-    0 if `a` is numerically positive definite, otherwise the order of the
-    first leading minor that is not.  "U" on the C-ordered array reads its
-    lower triangle, as `pencil_eigenvalues` does.
+    dims holds the degrees of freedom: the record counts, or one less for centered records.
     """
-    a = np.ascontiguousarray(a, dtype=float)
-    n, info = a.shape[0], ctypes.c_int()
-    _dpotrf(b"U", _int(n), a.ctypes.data, _int(max(1, n)), ctypes.byref(info))
-    if info.value < 0:
-        _check_info("dpotrf", info)
-    return info.value
+    return x @ x.T / dims.T, z @ z.T / dims.n
+
+
+def _data_spectrum(x: np.ndarray, z: np.ndarray, dims: ModelDims) -> np.ndarray:
+    """Descending pencil eigenvalues of the Grams of X and Z, zero past S1's rank."""
+    return _zero_beyond_rank(pencil_eigenvalues(*_grams(x, z, dims)), dims)
 
 
 def _positive_inertia(a: np.ndarray) -> int:
@@ -336,27 +355,17 @@ def _positive_inertia(a: np.ndarray) -> int:
     """
     a = np.ascontiguousarray(a, dtype=float)
     n = a.shape[0]
-    ipiv, info = np.empty(n, dtype=np.intc), ctypes.c_int()
-
-    def call(work: np.ndarray, lwork: int) -> None:
-        _dsytrf(
-            b"U", _int(n), a.ctypes.data, _int(max(1, n)), ipiv.ctypes.data,
-            work.ctypes.data, _int(lwork), ctypes.byref(info),
-        )
-        if info.value < 0:
-            _check_info("dsytrf", info)
-
-    size = np.empty(1)
-    call(size, -1)  # the workspace query: the blocked factorization's lwork
-    lwork = max(1, int(size[0]))
-    call(np.empty(lwork), lwork)
+    ipiv = np.empty(n, dtype=np.intc)
+    _lapack_with_workspace("dsytrf", b"U", n, a, max(1, n), ipiv)
     one_by_one = ipiv > 0
     positive = np.count_nonzero(np.diagonal(a)[one_by_one] > 0.0)
     return int(positive + np.count_nonzero(~one_by_one) // 2)
 
 
-def _gram_count(x: np.ndarray, z: np.ndarray, threshold: float, gate: float) -> int:
-    """The detector's count on the pencil of S1 = X X^T / T and S2 = Z Z^T / n, by inertia.
+def _gram_count(
+    x: np.ndarray, z: np.ndarray, dims: ModelDims, threshold: float, gate: float
+) -> int:
+    """The detector's count on the pencil of the Grams of X and Z (`_grams`), by inertia.
 
     No eigenvalue is computed: 0 when the top eigenvalue l_1 is below `gate`, else #{l > threshold}
     (gate >= threshold).  By Sylvester's law of inertia, l_1 < g exactly
@@ -369,12 +378,13 @@ def _gram_count(x: np.ndarray, z: np.ndarray, threshold: float, gate: float) -> 
         NumericalError: as `pencil_eigenvalues`: if S2 is not numerically
             positive definite or an entry is not finite.
     """
-    s1, s2 = _grams(x, z)
+    s1, s2 = _grams(x, z, dims)
     _require_finite("the pencil", s1, s2)
-    order = _cholesky_info(s2.copy())
-    if order:
-        raise _singular_noise(order)
-    if _cholesky_info(gate * s2 - s1) == 0:
+    # dpotrf's info is the first leading minor that is not positive definite (0 if none).  "U"
+    # on the C-ordered Gram reads its lower triangle, as `pencil_eigenvalues` does.
+    factor, p = s2.copy(), len(s2)
+    _require_definite_noise(_lapack("dpotrf", b"U", p, factor, p), factor, s2)
+    if _lapack("dpotrf", b"U", p, gate * s2 - s1, p) == 0:
         return 0
     return _positive_inertia(s1 - threshold * s2)
 
@@ -398,14 +408,14 @@ def _wishart_factor(rng: np.random.Generator, p: int, dof: int) -> np.ndarray:
 
 
 def _spiked(x: np.ndarray, spec: SpikeSpec) -> np.ndarray:
-    """Sigma^{1/2} x: the spiked block U diag(sqrt(a_i)) U^T on the first M rows."""
+    """Sigma^{1/2} x, in place on a fresh draw: U diag(sqrt(a_i)) U^T on the first M rows."""
     m = spec.rank
     if m == 0:
         return x
     scales = np.repeat(np.sqrt(np.asarray(spec.values)), np.asarray(spec.multiplicities))
     basis = spec.basis_or_identity()
-    block_root = (basis * scales) @ basis.T
-    return np.concatenate([block_root @ x[:m], x[m:]], axis=0)
+    x[:m] = ((basis * scales) @ basis.T) @ x[:m]
+    return x
 
 
 def _solve_lower(l2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -414,13 +424,10 @@ def _solve_lower(l2: np.ndarray, x: np.ndarray) -> np.ndarray:
     b = np.array(x, dtype=float, order="F")
     _require_finite("the whitened signal", l2, b)
     p, k = b.shape
-    info = ctypes.c_int()
     # Fortran reads the C-ordered L2 as the upper-triangular L2^T: solve (L2^T)^T B = X.
-    _dtrtrs(
-        b"U", b"T", b"N", _int(p), _int(k), l2.ctypes.data, _int(p), b.ctypes.data, _int(p),
-        ctypes.byref(info),
-    )
-    _check_info("dtrtrs", info)
+    info = _lapack("dtrtrs", b"U", b"T", b"N", p, k, l2, p, b, p)
+    if info:
+        raise NumericalError(f"LAPACK dtrtrs failed (info = {info}): the noise factor is singular")
     return b
 
 
@@ -434,23 +441,14 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     _require_finite("the whitened signal's Gram", a)
     n = a.shape[0]
-    vals, found = np.empty(n), ctypes.c_int()
-    z, isuppz, info = np.empty(1), np.empty(2 * n, dtype=np.intc), ctypes.c_int()
-
-    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
-        _dsyevr(
-            b"N", b"A", b"L", _int(n), a.ctypes.data, _int(n),
-            ctypes.byref(ctypes.c_double(0.0)), ctypes.byref(ctypes.c_double(1.0)),
-            _int(1), _int(n), ctypes.byref(ctypes.c_double(0.0)), ctypes.byref(found),
-            vals.ctypes.data, z.ctypes.data, _int(1), isuppz.ctypes.data,
-            work.ctypes.data, _int(lwork), iwork.ctypes.data, _int(liwork), ctypes.byref(info),
-        )
-        _check_info("dsyevr", info)
-
-    sizes = np.empty(1), np.empty(1, dtype=np.intc)
-    call(*sizes, -1, -1)  # the workspace query
-    lwork, liwork = int(sizes[0][0]), int(sizes[1][0])
-    call(np.empty(lwork), np.empty(liwork, dtype=np.intc), lwork, liwork)
+    vals = np.empty(n)
+    # (jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz)
+    info = _lapack_with_workspace(
+        "dsyevr", b"N", b"A", b"L", n, a, n, 0.0, 1.0, 1, n, 0.0, 0, vals,
+        np.empty(1), 1, np.empty(2 * n, dtype=np.intc), dtypes=(float, np.intc),
+    )
+    if info:
+        raise NumericalError(f"LAPACK dsyevr did not converge (info = {info})")
     return vals
 
 
@@ -491,14 +489,14 @@ def sample_spectrum(
     spec.require_fits(dims.p)
     if dist == GAUSSIAN:
         x = _spiked(_wishart_factor(rng, dims.p, dims.T), spec)
-        vals = _bartlett_spectrum(x, _wishart_factor(rng, dims.p, dims.n), dims)
+        l2 = _wishart_factor(rng, dims.p, dims.n)
+        vals = _zero_beyond_rank(_bartlett_spectrum(x, l2, dims), dims)
     else:
         w = dist.draw(rng, (dims.p, dims.T))
-        z = dist.draw(rng, (dims.p, dims.n))
-        vals = _gram_pencil(_spiked(w, spec), z)
+        vals = _data_spectrum(_spiked(w, spec), dist.draw(rng, (dims.p, dims.n)), dims)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("the spectrum overflowed; a spike value is too large")
-    return _zero_beyond_rank(vals, dims)
+    return vals
 
 
 def _zero_beyond_rank(vals: np.ndarray, dims: ModelDims) -> np.ndarray:

@@ -780,6 +780,16 @@ class TestDetect:
         assert run_cli("detect", "--signal", xpath, "--noise", zpath) == 3
         assert "numerical error:" in capsys.readouterr().err
 
+    def test_rounding_singular_noise_exits_three(self, tmp_path, capsys):
+        # A copied row leaves a Cholesky pivot at rounding level, which LAPACK takes as positive.
+        rng = np.random.default_rng(3)
+        x, z = rng.standard_normal((10, 40)), rng.standard_normal((10, 30))
+        z[5] = z[2]
+        np.save(tmp_path / "x.npy", x)
+        np.save(tmp_path / "z.npy", z)
+        assert run_cli("detect", "--signal", tmp_path / "x.npy", "--noise", tmp_path / "z.npy") == 3
+        assert "numerically singular" in capsys.readouterr().err
+
     def test_negative_top_exits_two(self, tmp_path, capsys):
         xpath, zpath = self.make_records(tmp_path)
         assert run_cli("detect", "--signal", xpath, "--noise", zpath, "--top", -38) == 2
@@ -800,6 +810,11 @@ class TestDetect:
         folder.mkdir()
         assert run_cli("detect", "--signal", folder, "--noise", zpath) == 2
         assert "cannot read records file" in capsys.readouterr().err
+        # Comma-separated values in a .txt file: only .npy and .csv are records formats.
+        text = tmp_path / "x.txt"
+        np.savetxt(text, np.load(xpath), delimiter=",")
+        assert run_cli("detect", "--signal", text, "--noise", zpath) == 2
+        assert "unsupported records format '.txt'" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error")  # the cast to float warns as it drops the imaginary part
     def test_complex_records_exit_two(self, tmp_path, capsys):

@@ -213,7 +213,7 @@ class TestWhitenedReplicate:
             records = experiments._detection_records(
                 stream_generator(*stream), mixing, self.DIMS, dist
             )
-            whitened = sampling._gram_pencil(*records)
+            whitened = sampling._data_spectrum(*records, self.DIMS)
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
             counts[min(estimate_count(dense, self.DIMS), counts.size - 1)] += 1
@@ -253,8 +253,8 @@ class TestInertiaCount:
         for rep in range(self.REPS):
             rng = stream_generator(11, experiments._DETECT_STREAM, 0, rep)
             x, z = experiments._detection_records(rng, mixing, dims, dist)
-            expected = estimate_count(sampling._gram_pencil(x, z), dims, detector)
-            assert sampling._gram_count(x, z, threshold, gate) == expected, rep
+            expected = estimate_count(sampling._data_spectrum(x, z, dims), dims, detector)
+            assert sampling._gram_count(x, z, dims, threshold, gate) == expected, rep
 
     def test_counts_above_the_threshold_and_gates_below(self):
         # S1 = diag(9, 4, 1) and S2 = I exactly, so the pencil's eigenvalues are 9, 4 and 1.
@@ -264,7 +264,7 @@ class TestInertiaCount:
         z[[0, 1, 2], [0, 1, 2]] = 4.0
 
         def count(threshold, gate):
-            return sampling._gram_count(x, z, threshold, gate)
+            return sampling._gram_count(x, z, ModelDims(p=3, n=16, T=4), threshold, gate)
 
         assert [count(t, t) for t in (0.5, 1.5, 5.0, 10.0)] == [3, 2, 1, 0]
         assert count(0.5, 9.5) == 0
@@ -287,14 +287,16 @@ class TestInertiaCount:
     def test_duplicated_noise_rows_raise(self, seed):
         # Binary entries give S2 a unit diagonal, and the first pivot is exactly 1, so a copy
         # of the first row cancels exactly in the Cholesky factorization.  Other copies can
-        # leave a pivot at rounding level, which the factorization takes as positive.
+        # leave a pivot at rounding level, which the pivot rule rejects (`TestPencil` in
+        # test_sampling.py).
         rng = ensure_generator(seed)
         x, z = RADEMACHER.draw(rng, (10, 40)), RADEMACHER.draw(rng, (10, 30))
         z[1 + seed] = z[0]
+        dims = ModelDims(p=10, n=30, T=40)
         with pytest.raises(NumericalError, match="noise covariance") as by_inertia:
-            sampling._gram_count(x, z, 1.0, 2.0)
+            sampling._gram_count(x, z, dims, 1.0, 2.0)
         with pytest.raises(NumericalError) as by_spectrum:
-            sampling._gram_pencil(x, z)
+            sampling._data_spectrum(x, z, dims)
         assert str(by_inertia.value) == str(by_spectrum.value)
 
 

@@ -131,6 +131,15 @@ class TestSampleSpectrum:
             singular += vals[-1] == 0.0
         assert singular > 10
 
+    def test_negative_eigenvalue_beyond_rounding_raises(self):
+        dims = ModelDims(p=3, n=5, T=2)
+        # A negative at rounding level (p eps l_1) among the top min(p, T) becomes a zero ...
+        vals = sampling._zero_beyond_rank(np.array([1.0, -1e-16, -5.0]), dims)
+        np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
+        # ... a larger one is a solver failure.
+        with pytest.raises(NumericalError, match="negative eigenvalue -1.000e-03"):
+            sampling._zero_beyond_rank(np.array([1.0, -1e-3, -5.0]), dims)
+
     def test_full_rank_has_no_zeros(self):
         sample = sample_spectrum(5, self.DIMS, SpikeSpec())
         assert np.all(sample > 0.0)
@@ -240,7 +249,7 @@ class TestSamplePaths:
         w = RADEMACHER.draw(rng, (dims.p, dims.T))
         z = RADEMACHER.draw(rng, (dims.p, dims.n))
         w[: spec.rank] = block_root(spec) @ w[: spec.rank]
-        np.testing.assert_array_equal(vals, sampling._gram_pencil(w, z))
+        np.testing.assert_array_equal(vals, sampling._data_spectrum(w, z, dims))
 
 
 class TestPencil:
@@ -276,6 +285,20 @@ class TestPencil:
         ones = np.ones((5, 5))
         with pytest.raises(NumericalError):
             pencil_eigenvalues(np.eye(5), ones)
+
+    @pytest.mark.parametrize("seed", [3, 4, 8])
+    def test_rounding_level_pivot_raises(self, seed):
+        # A copied row of Gaussian records leaves S2 a Cholesky pivot at rounding level, not an
+        # exact zero; at these seeds LAPACK takes it as positive, and the pivot rule does not.
+        rng = np.random.default_rng(seed)
+        x, z = rng.standard_normal((10, 40)), rng.standard_normal((10, 30))
+        z[5] = z[2]
+        dims = ModelDims(p=10, n=30, T=40)
+        s1, s2 = sampling._grams(x, z, dims)
+        with pytest.raises(NumericalError, match="numerically singular"):
+            pencil_eigenvalues(s1, s2)
+        with pytest.raises(NumericalError, match="numerically singular"):
+            sampling._gram_count(x, z, dims, 1.0, 2.0)
 
 
 class TestLapackCalls:
@@ -346,8 +369,8 @@ class TestLapackCalls:
             lambda: sampling._solve_lower(poisoned, np.ones((4, 2))),
             lambda: sampling._solve_lower(np.eye(4), poisoned),
             lambda: sampling._symmetric_eigenvalues(poisoned),
-            lambda: sampling._gram_count(poisoned, np.eye(4, 6), 1.0, 2.0),
-            lambda: sampling._gram_count(np.eye(4), poisoned, 1.0, 2.0),
+            lambda: sampling._gram_count(poisoned, np.eye(4, 6), ModelDims(4, 6, 4), 1.0, 2.0),
+            lambda: sampling._gram_count(np.eye(4), poisoned, ModelDims(4, 6, 4), 1.0, 2.0),
         ):
             # Records holding inf give NaN Grams (inf * 0), which numpy warns about.
             with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
@@ -414,7 +437,8 @@ class TestLapackCalls:
         p = 600
         w, z = rng.standard_normal((p, 2 * p)), rng.standard_normal((p, 2 * p))
         # A level inside the bulk, so all three factorizations run.
-        self.assert_main_thread_runs(lambda: sampling._gram_count(w, z, 1.0, 1.0))
+        dims = ModelDims(p, 2 * p, 2 * p)
+        self.assert_main_thread_runs(lambda: sampling._gram_count(w, z, dims, 1.0, 1.0))
 
 
 LAPACK_NAMES = ("dtrtrs", "dsyevr", "dsygvd", "dpotrf", "dsytrf")
@@ -471,12 +495,13 @@ class TestLapackRoute:
             l2 = sampling._wishart_factor(rng, p, n)
             w, z = RADEMACHER.draw(rng, (p, t_len)), RADEMACHER.draw(rng, (p, n))
             # Levels at the median eigenvalue and above the top one: dsytrf and both dpotrf calls run.
-            spectrum = sampling._gram_pencil(w, z)
+            spectrum = sampling._data_spectrum(w, z, dims)
             levels = [(spectrum[p // 2], spectrum[p // 2]), (spectrum[0] + 1.0, spectrum[0] + 1.0)]
 
             def outputs():
-                counts = [sampling._gram_count(w, z, t, g) for t, g in levels]
-                return sampling._bartlett_spectrum(x, l2, dims), sampling._gram_pencil(w, z), counts
+                counts = [sampling._gram_count(w, z, dims, t, g) for t, g in levels]
+                pencil = sampling._data_spectrum(w, z, dims)
+                return sampling._bartlett_spectrum(x, l2, dims), pencil, counts
 
             library = outputs()
             with monkeypatch.context() as patch:
@@ -485,6 +510,17 @@ class TestLapackRoute:
                 capsules = outputs()
             for a, b in zip(library, capsules, strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=str((p, n, t_len)))
+
+    @pytest.mark.parametrize("route", ["module", "capsules"])
+    def test_illegal_argument_raises(self, monkeypatch, capsule_routines, route):
+        if route == "capsules":
+            monkeypatch.setattr(sampling, "_dpotrf", capsule_routines[3])
+            monkeypatch.setattr(sampling, "_dsytrf", capsule_routines[4])
+        # lda = 0 (argument 4) is illegal: LAPACK's xerbla reports it and info comes back -4.
+        with pytest.raises(NumericalError, match=r"LAPACK dpotrf failed \(info = -4\)"):
+            sampling._lapack("dpotrf", b"U", 1, np.eye(1), 0)
+        with pytest.raises(NumericalError, match=r"LAPACK dsytrf failed \(info = -4\)"):
+            sampling._lapack_with_workspace("dsytrf", b"U", 1, np.eye(1), 0, np.empty(1, np.intc))
 
     @pytest.mark.parametrize("route", ["module", "capsules"])
     def test_singular_triangle_raises(self, monkeypatch, capsule_routines, route):
