@@ -33,6 +33,7 @@ import json
 import locale  # noqa: F401
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -408,7 +409,9 @@ def _load_matrix(path: str) -> np.ndarray:
         if suffix == ".npy":
             arr = np.load(path)
         elif suffix == ".csv":
-            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # an empty file warns; it is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, delimiter=",", ndmin=2)
         else:
             raise ParameterError(
                 f"unsupported records format {suffix!r} for {path}; use .npy or .csv"
@@ -417,6 +420,8 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ParameterError(f"cannot read records file {path}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(f"cannot parse records file {path}: {exc}") from exc
+    if np.size(arr) == 0:
+        raise ParameterError(f"records file {path} holds no values")
     return arr  # checked by records_spectrum
 
 

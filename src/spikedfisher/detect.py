@@ -3,7 +3,7 @@
 In the signal-plus-noise record model x_t = A s_t + e_t the number k of
 signal channels equals the number of eigenvalues of A^T Sigma2^{-1} A = M^T M
 whose value + 1 detaches from the Fisher bulk; M = Sigma2^{-1/2} A
-(`_whitened_mixing`) mixes the whitened records Sigma2^{-1/2} x_t, whose
+(`SignalModel.whitened`) mixes the whitened records Sigma2^{-1/2} x_t, whose
 Fisher spectrum is that of the raw records.  The paper's counter
 takes the sample eigenvalues above the bulk edge plus a vanishing offset:
 
@@ -32,12 +32,12 @@ explicit shift replaces the whole rule by the count above b + shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
-from .sampling import ModelDims, _data_spectrum
+from .sampling import ModelDims, _data_spectrum, _one_blas_thread
 from .wachter import support_edges
 
 __all__ = [
@@ -57,21 +57,6 @@ _SYM_RTOL = 1e-8
 _TW1_Q95 = 0.9793
 
 
-def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = finite_array(mat, label)
-    if mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"{label} must be a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - mat.T)) > _SYM_RTOL * scale:
-        raise ParameterError(f"{label} must be symmetric")
-    smallest = float(np.linalg.eigvalsh(mat)[0])
-    if smallest <= 0.0:
-        raise ParameterError(
-            f"{label} must be positive definite; smallest eigenvalue {smallest:.3e}"
-        )
-    return mat
-
-
 @dataclass(frozen=True, eq=False)
 class SignalModel:
     """Record model x = A s + e with iid unit-variance signals.
@@ -80,28 +65,40 @@ class SignalModel:
         mixing: p x k mixing matrix A (k may be 0 for a pure-noise model).
         noise_cov: p x p positive definite noise covariance Sigma2.
         dims: finite-sample dimensions; dims.p must match the matrices.
+        whitened: M = Sigma2^{-1/2} A (symmetric root), the mixing of the
+            whitened records; computed, not settable.
     """
 
     mixing: np.ndarray
     noise_cov: np.ndarray
     dims: ModelDims
+    whitened: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        mixing = finite_array(self.mixing, "mixing matrix")
-        noise = _check_spd(self.noise_cov, "noise covariance")
+        mixing = finite_array(self.mixing, "mixing matrix").copy()
+        noise = finite_array(self.noise_cov, "noise covariance").copy()
         p, k = mixing.shape
         if p != self.dims.p:
+            raise ParameterError(f"mixing matrix has {p} rows but dims.p={self.dims.p}")
+        if noise.shape != (p, p):
             raise ParameterError(
-                f"mixing matrix has {p} rows but dims.p={self.dims.p}"
-            )
-        if noise.shape[0] != p:
-            raise ParameterError(
-                f"noise covariance is {noise.shape[0]} x {noise.shape[1]} "
-                f"but the mixing matrix has {p} rows"
+                f"noise covariance must be a square matrix with the mixing matrix's {p} rows, "
+                f"got shape {noise.shape}"
             )
         if k > p:
             raise ParameterError(f"more signal channels ({k}) than records ({p})")
-        for name, mat in (("mixing", mixing.copy()), ("noise_cov", noise.copy())):
+        scale = max(1.0, float(np.max(np.abs(noise))))
+        if np.max(np.abs(noise - noise.T)) > _SYM_RTOL * scale:
+            raise ParameterError("noise covariance must be symmetric")
+        # One eigh validates Sigma2 and whitens A, on one BLAS thread: the count moves its bits.
+        with _one_blas_thread():
+            vals, vecs = np.linalg.eigh(noise)
+            if vals[0] <= 0.0:
+                raise ParameterError(
+                    f"noise covariance must be positive definite; smallest eigenvalue {vals[0]:.3e}"
+                )
+            whitened = (vecs / np.sqrt(vals)) @ (vecs.T @ mixing)
+        for name, mat in (("mixing", mixing), ("noise_cov", noise), ("whitened", whitened)):
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -235,7 +232,8 @@ def records_spectrum(
     Raises:
         ParameterError: unless both records are finite real matrices with
             one row count p and p < n (p < n - 1 and T >= 2 with `center`).
-        NumericalError: if S2 is singular to rounding, e.g. with a copied record row.
+        NumericalError: if a Gram overflows, or S2 is singular to rounding, e.g. with a
+            copied record row.
     """
     x = finite_array(signal_records, "signal records")
     z = finite_array(noise_records, "noise records")
@@ -269,12 +267,6 @@ def detect(
     their dimensions; see `records_spectrum`.
     """
     return estimate_count(*records_spectrum(signal_records, noise_records, center), config)
-
-
-def _whitened_mixing(model: SignalModel) -> np.ndarray:
-    """M = Sigma2^{-1/2} A, the mixing of the whitened records (symmetric root)."""
-    vals, vecs = np.linalg.eigh(model.noise_cov)
-    return (vecs / np.sqrt(vals)) @ (vecs.T @ model.mixing)
 
 
 def standard_mixing(p: int) -> np.ndarray:

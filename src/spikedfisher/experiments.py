@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .detect import DetectorConfig, SignalModel, _whitened_mixing
+from .detect import DetectorConfig, SignalModel
 from .errors import ParameterError, finite_array, require_buffer, require_count, require_real
 from .randomness import require_seed, stream_generator
 from .sampling import (
@@ -261,24 +261,24 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
 
 
 def _detection_records(
-    rng, mixing: np.ndarray, dims: ModelDims, dist: EntryDistribution
+    rng, model: SignalModel, dist: EntryDistribution
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whitened records (M s + e, z) for the records A s + Sigma2^{1/2} e and Sigma2^{1/2} z.
 
     The stream gives s, e, z in that order.  Congruence by Sigma2^{-1/2} keeps
     the pencil's eigenvalues for every sample and entry law, and turns the raw
-    records into these (M: `detect._whitened_mixing`).
+    records into these (M: `SignalModel.whitened`).
     """
-    s = dist.draw(rng, (mixing.shape[1], dims.T))
-    x = mixing @ s + dist.draw(rng, (dims.p, dims.T))
+    dims = model.dims
+    s = dist.draw(rng, (model.num_signals, dims.T))
+    x = model.whitened @ s + dist.draw(rng, (dims.p, dims.T))
     return x, dist.draw(rng, (dims.p, dims.n))
 
 
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder of models.
 
-    Each rung's SignalModel is whitened once (`detect._whitened_mixing`)
-    and its detector levels are read once at the rung's dims.  Each
+    Each rung's detector levels are read once at its model's dims.  Each
     replicate draws its records from its own stream (`_detection_records`),
     counts signals by inertia (`sampling._gram_count`), and lands in one of
     the count bins 0..4 or "5+".
@@ -286,13 +286,12 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
     freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
     with _one_blas_thread():
         for entry, model in enumerate(config.models):
-            mixing = _whitened_mixing(model)
             threshold, gate = config.detector.levels(model.dims)
 
             # Runs to completion inside this iteration, so it may read the loop variables.
             def one(rep: int) -> int:
                 rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
-                x, z = _detection_records(rng, mixing, model.dims, config.dist)
+                x, z = _detection_records(rng, model, config.dist)
                 return _gram_count(x, z, model.dims, threshold, gate)
 
             for k_hat in _map_indexed(one, config.replicates, threads):

@@ -25,10 +25,11 @@ level, so `_gram_count` reads it from the Grams' Cholesky (dpotrf) and
 LDL^T (dsytrf) factorizations by Sylvester's law of inertia.
 
 BLAS threading changes the rounding of both the Grams and the pencil, so
-`_one_blas_thread` runs BLAS on one thread while a command or a study is
-in progress; replicates parallelize through worker threads instead.
-They overlap because every LAPACK routine is called through ctypes, which
-releases the GIL, by one convention (`_lapack`).  dtrtrs, dsyevr and dsygvd
+`_one_blas_thread` runs BLAS on one thread while any command, study or
+model whitening is in progress, from any thread; replicates parallelize
+through worker threads instead.  They overlap because every LAPACK routine
+is called through ctypes, which releases the GIL, by one convention
+(`_lapack`, on the routine table `_LAPACK`).  dtrtrs, dsyevr and dsygvd
 take the arguments scipy.linalg would pass, and so give its bits.  The
 routines come from scipy's bundled OpenBLAS, so `scipy.linalg` is not
 imported unless the build bundles none (`_lapack_routines`).
@@ -40,6 +41,7 @@ import contextlib
 import ctypes
 import glob
 import importlib.util
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +68,7 @@ _SCIPY_OPENBLAS = _openblas("scipy", "scipy.libs/libscipy_openblas-*.so")
 
 import numpy as np  # noqa: E402
 
-from .errors import NumericalError, ParameterError, require_buffer, require_count  # noqa: E402
+from .errors import NumericalError, ParameterError, finite_array, require_buffer, require_count  # noqa: E402
 from .randomness import ensure_generator  # noqa: E402
 from .spikes import SpikeSpec  # noqa: E402
 from .wachter import FisherParams  # noqa: E402
@@ -157,8 +159,8 @@ class ModelDims:
 _LAPACK_ARITY = {"dtrtrs": 10, "dsyevr": 21, "dsygvd": 14, "dpotrf": 5, "dsytrf": 8}
 
 
-def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
-    """The routines of `_LAPACK_ARITY` from scipy's LAPACK, in its order, called through ctypes.
+def _lapack_routines(library: ctypes.CDLL | None) -> dict:
+    """The routines of `_LAPACK_ARITY` from scipy's LAPACK, by name, called through ctypes.
 
     Every argument is a pointer.  A ctypes foreign call releases the GIL, so
     worker threads overlap inside LAPACK; scipy's f2py wrappers hold it for
@@ -184,13 +186,13 @@ def _lapack_routines(library: ctypes.CDLL | None) -> tuple:
         )
         capsules = [cython_lapack.__pyx_capi__[name] for name in _LAPACK_ARITY]
         addresses = [pointer(capsule, name_of(capsule)) for capsule in capsules]
-    return tuple(
-        ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
-        for nargs, address in zip(_LAPACK_ARITY.values(), addresses)
-    )
+    return {
+        name: ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+        for (name, nargs), address in zip(_LAPACK_ARITY.items(), addresses)
+    }
 
 
-_dtrtrs, _dsyevr, _dsygvd, _dpotrf, _dsytrf = _lapack_routines(_SCIPY_OPENBLAS)
+_LAPACK = _lapack_routines(_SCIPY_OPENBLAS)
 
 
 def _require_finite(label: str, *arrays: np.ndarray) -> None:
@@ -200,7 +202,7 @@ def _require_finite(label: str, *arrays: np.ndarray) -> None:
 
 
 def _lapack(name: str, *args) -> int:
-    """Call the routine `_<name>`, looked up at call time, with `args` and a trailing info.
+    """Call `_LAPACK[name]`, looked up at call time, with `args` and a trailing info.
 
     LAPACK takes every argument by reference: bytes pass as characters, ints
     as C ints, floats as doubles and arrays by their data.  A negative info
@@ -214,7 +216,7 @@ def _lapack(name: str, *args) -> int:
             arg = ctypes.byref((ctypes.c_double if isinstance(arg, float) else ctypes.c_int)(arg))
         refs.append(arg)
     info = ctypes.c_int()
-    globals()[f"_{name}"](*refs, ctypes.byref(info))
+    _LAPACK[name](*refs, ctypes.byref(info))
     if info.value < 0:
         raise NumericalError(f"LAPACK {name} failed (info = {info.value})")
     return info.value
@@ -258,18 +260,19 @@ def pencil_eigenvalues(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     reads them, with the same bits.
 
     Raises:
-        ParameterError: unless S1 and S2 are square matrices of one shape.
+        ParameterError: unless S1 and S2 are finite real square matrices of
+            one shape (`errors.finite_array`).
         NumericalError: if S2 is singular to rounding (`_require_definite_noise`),
-            which makes the Fisher matrix undefined, or an entry is not finite.
+            which makes the Fisher matrix undefined.
     """
-    a = np.array(s1, dtype=float, order="F")
-    b = np.array(s2, dtype=float, order="F")
-    n = a.shape[0] if a.ndim == 2 else -1
-    if a.shape != (n, n) or b.shape != (n, n):
+    s1 = finite_array(s1, "pencil matrix S1", ndim=None)
+    s2 = finite_array(s2, "pencil matrix S2", ndim=None)
+    n = s1.shape[0] if s1.ndim == 2 else -1
+    if s1.shape != (n, n) or s2.shape != (n, n):
         raise ParameterError(
-            f"the pencil needs two square matrices of one shape, got {a.shape} and {b.shape}"
+            f"the pencil needs two square matrices of one shape, got {s1.shape} and {s2.shape}"
         )
-    _require_finite("the pencil", a, b)
+    a, b = np.array(s1, order="F"), np.array(s2, order="F")
     vals = np.empty(n)
     # The workspace scipy passes: a larger lwork runs a faster path with other bits.
     lwork = 2 * n + 1
@@ -313,30 +316,49 @@ def _blas_threads() -> int | None:
     return counts.pop() if len(_BLAS_CONTROLS) == 2 and len(counts) == 1 else None
 
 
+# The thread counts are process-wide, so the pin's state is too: how many entries
+# are open, and the counts the first one saved.
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[int] = []
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run every OpenBLAS copy found on one thread, restoring the counts on exit.
+    """Run every OpenBLAS copy found on one thread while any entry is open.
 
-    Enter it once, from the thread that starts the workers: a save and
-    restore per replicate would race with replicates still in BLAS on
-    other threads.  Nested entries save and restore 1.
+    Entries nest and overlap from any thread: the first to enter saves the
+    counts and pins them, and the last to exit restores them.
     """
-    saved = [get() for get, _ in _BLAS_CONTROLS]
+    global _pin_depth, _pin_saved
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = [get() for get, _ in _BLAS_CONTROLS]
+            for _, put in _BLAS_CONTROLS:
+                put(1)
+        _pin_depth += 1
     try:
-        for _, put in _BLAS_CONTROLS:
-            put(1)
         yield
     finally:
-        for (_, put), count in zip(_BLAS_CONTROLS, saved):
-            put(count)
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, put), count in zip(_BLAS_CONTROLS, _pin_saved):
+                    put(count)
 
 
 def _grams(x: np.ndarray, z: np.ndarray, dims: ModelDims) -> tuple[np.ndarray, np.ndarray]:
     """S1 = X X^T / dims.T and S2 = Z Z^T / dims.n, exactly symmetric (numpy forms them with syrk).
 
     dims holds the degrees of freedom: the record counts, or one less for centered records.
+
+    Raises:
+        NumericalError: if a Gram overflows; numpy's warning is not shown, as this check follows.
     """
-    return x @ x.T / dims.T, z @ z.T / dims.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = x @ x.T / dims.T, z @ z.T / dims.n
+    _require_finite("the pencil", s1, s2)
+    return s1, s2
 
 
 def _data_spectrum(x: np.ndarray, z: np.ndarray, dims: ModelDims) -> np.ndarray:
@@ -379,7 +401,6 @@ def _gram_count(
             positive definite or an entry is not finite.
     """
     s1, s2 = _grams(x, z, dims)
-    _require_finite("the pencil", s1, s2)
     # dpotrf's info is the first leading minor that is not positive definite (0 if none).  "U"
     # on the C-ordered Gram reads its lower triangle, as `pencil_eigenvalues` does.
     factor, p = s2.copy(), len(s2)
@@ -524,7 +545,8 @@ def spectrum_packets(eigenvalues: np.ndarray, spec: SpikeSpec) -> tuple[np.ndarr
     of spikes below 1 from the bottom.
 
     Raises:
-        ParameterError: if the spike rank exceeds the sample dimension.
+        ParameterError: unless the eigenvalues are a finite real vector
+            (`errors.finite_array`), or if the spike rank exceeds its length.
     """
-    positions = spec.packet_indices(eigenvalues.size)
-    return tuple(eigenvalues[idx] for idx in positions)
+    vals = finite_array(eigenvalues, "eigenvalues", ndim=1)
+    return tuple(vals[idx] for idx in spec.packet_indices(vals.size))

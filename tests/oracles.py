@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from spikedfisher.detect import SignalModel, _whitened_mixing
+from spikedfisher.detect import SignalModel
 from spikedfisher.errors import ParameterError, require_real
 from spikedfisher.wachter import (
     FisherParams,
@@ -210,8 +210,7 @@ def effective_spikes(model: SignalModel) -> np.ndarray:
     """
     if model.num_signals == 0:
         return np.zeros(0)
-    mixing = _whitened_mixing(model)
-    vals = np.linalg.eigvalsh(mixing.T @ mixing)[::-1].copy()
+    vals = np.linalg.eigvalsh(model.whitened.T @ model.whitened)[::-1].copy()
     tol = 1e-12 * max(1.0, float(vals[0]))
     nonzero = int(np.count_nonzero(vals > tol))
     if nonzero < model.num_signals:

@@ -434,10 +434,7 @@ class TestCapsuleRoute:
     @pytest.fixture(autouse=True)
     def capsules(self, monkeypatch):
         # No library: the routines the resolver gives when the glob finds nothing.
-        routines = sampling._lapack_routines(None)
-        names = ("_dtrtrs", "_dsyevr", "_dsygvd", "_dpotrf", "_dsytrf")
-        for name, routine in zip(names, routines, strict=True):
-            monkeypatch.setattr(sampling, name, routine)
+        monkeypatch.setattr(sampling, "_LAPACK", sampling._lapack_routines(None))
 
     @pytest.mark.parametrize("name", ["clt_gaussian", "clt_rademacher"])
     def test_simulate_clt_bytes(self, tmp_path, name):
@@ -815,6 +812,33 @@ class TestDetect:
         np.savetxt(text, np.load(xpath), delimiter=",")
         assert run_cli("detect", "--signal", text, "--noise", zpath) == 2
         assert "unsupported records format '.txt'" in capsys.readouterr().err
+
+    @staticmethod
+    def detect_in_child(signal, noise, cwd):
+        """Exit code and stderr of `detect` in a fresh interpreter, where warnings print as they would."""
+        code = "import sys; from spikedfisher.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "detect", "--signal", str(signal), "--noise", str(noise)],
+            cwd=cwd, env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        return done.returncode, done.stderr
+
+    def test_overflowing_records_exit_three_without_a_warning(self, tmp_path):
+        xpath, zpath = self.make_records(tmp_path)
+        np.save(xpath, np.load(xpath) * 1e200)
+        code, err = self.detect_in_child(xpath, zpath, tmp_path)
+        assert code == 3
+        assert "numerical error:" in err and "non-finite" in err
+        assert "Warning" not in err
+
+    def test_empty_csv_records_exit_two_without_a_warning(self, tmp_path):
+        xpath, zpath = self.make_records(tmp_path)
+        empty = tmp_path / "x.csv"
+        empty.write_text("")
+        code, err = self.detect_in_child(empty, zpath, tmp_path)
+        assert code == 2
+        assert f"records file {empty} holds no values" in err
+        assert "Warning" not in err
 
     @pytest.mark.filterwarnings("error")  # the cast to float warns as it drops the imaginary part
     def test_complex_records_exit_two(self, tmp_path, capsys):

@@ -35,7 +35,6 @@ from spikedfisher import (
     summarize,
 )
 from oracles import effective_spikes
-from spikedfisher.detect import _whitened_mixing
 
 SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
 DIMS = ModelDims(p=60, n=120, T=300)
@@ -206,13 +205,10 @@ class TestWhitenedReplicate:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_matches_dense_root_records(self, kind, dist):
         model = self.MODELS[kind](self.DIMS)
-        mixing = _whitened_mixing(model)
         counts = np.zeros(len(experiments.COUNT_BIN_LABELS))
         for rep in range(self.REPS):
             stream = (5, experiments._DETECT_STREAM, 0, rep)
-            records = experiments._detection_records(
-                stream_generator(*stream), mixing, self.DIMS, dist
-            )
+            records = experiments._detection_records(stream_generator(*stream), model, dist)
             whitened = sampling._data_spectrum(*records, self.DIMS)
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
@@ -246,13 +242,13 @@ class TestInertiaCount:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_eigenvalue_rule(self, case, dist, shift):
         build, dims = self.CASES[case]
-        mixing = _whitened_mixing(build(dims))
+        model = build(dims)
         detector = DetectorConfig(shift=shift)
         threshold, gate = detector.levels(dims)
         assert (gate == threshold) == (shift is not None)
         for rep in range(self.REPS):
             rng = stream_generator(11, experiments._DETECT_STREAM, 0, rep)
-            x, z = experiments._detection_records(rng, mixing, dims, dist)
+            x, z = experiments._detection_records(rng, model, dist)
             expected = estimate_count(sampling._data_spectrum(x, z, dims), dims, detector)
             assert sampling._gram_count(x, z, dims, threshold, gate) == expected, rep
 
@@ -357,23 +353,7 @@ class TestMapIndexed:
 
 
 class TestStudiesPinBlas:
-    """A study runs all of its BLAS work on one thread, whatever its caller set."""
-
-    @pytest.fixture
-    def two_blas_threads(self):
-        controls = sampling._BLAS_CONTROLS
-        if len(controls) != 2:
-            pytest.skip("needs the thread controls of both OpenBLAS copies")
-        before = [get() for get, _ in controls]
-        for _, put in controls:
-            put(2)
-        try:
-            if sampling._blas_threads() != 2:
-                pytest.skip("OpenBLAS runs on fewer than two threads here")
-            yield
-        finally:
-            for (_, put), count in zip(controls, before):
-                put(count)
+    """A study and a record model's whitening run their BLAS work on one thread, whatever the caller set."""
 
     @staticmethod
     def record_threads(monkeypatch, name):
@@ -387,10 +367,20 @@ class TestStudiesPinBlas:
         monkeypatch.setattr(experiments, name, recording)
         return seen
 
-    def test_detection_study_whitens_on_one_thread(self, monkeypatch, two_blas_threads):
-        seen = self.record_threads(monkeypatch, "_whitened_mixing")
-        run_detection_study(small_detection_config(replicates=2))
-        assert seen == [1] * len(LADDER)
+    def test_signal_model_whitens_on_one_thread(self, monkeypatch, two_blas_threads):
+        # Building a model decomposes its noise covariance once, and the whitened mixing
+        # depends on the BLAS thread count, so the decomposition runs pinned.
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            func = getattr(np.linalg, name)
+
+            def recording(*args, func=func, **kwargs):
+                seen.append(sampling._blas_threads())
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        block_noise_model(LADDER[0])
+        assert seen == [1]
         assert sampling._blas_threads() == 2
 
     def test_clt_study_draws_the_limit_on_one_thread(self, monkeypatch, two_blas_threads):

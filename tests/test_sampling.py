@@ -2,6 +2,7 @@
 
 import ctypes
 import math
+import sys
 import threading
 import time
 
@@ -366,14 +367,18 @@ class TestLapackCalls:
         for call in (
             lambda: pencil_eigenvalues(poisoned, np.eye(4)),
             lambda: pencil_eigenvalues(np.eye(4), poisoned),
+        ):
+            with pytest.raises(ParameterError, match="non-finite"):
+                call()
+        for call in (
             lambda: sampling._solve_lower(poisoned, np.ones((4, 2))),
             lambda: sampling._solve_lower(np.eye(4), poisoned),
             lambda: sampling._symmetric_eigenvalues(poisoned),
+            # Records holding inf give NaN Grams (inf * 0); `_grams` rejects them without a warning.
             lambda: sampling._gram_count(poisoned, np.eye(4, 6), ModelDims(4, 6, 4), 1.0, 2.0),
             lambda: sampling._gram_count(np.eye(4), poisoned, ModelDims(4, 6, 4), 1.0, 2.0),
         ):
-            # Records holding inf give NaN Grams (inf * 0), which numpy warns about.
-            with pytest.raises(NumericalError, match="non-finite"), np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite"):
                 call()
 
     def test_indefinite_noise_matrix(self):
@@ -384,6 +389,17 @@ class TestLapackCalls:
     def test_pencil_shapes(self, shapes):
         with pytest.raises(ParameterError, match="square"):
             pencil_eigenvalues(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[True]], [["1"]], [[1.0 + 1.0j]], [[None]]],
+        ids=["bool", "string", "complex", "object"],
+    )
+    def test_pencil_takes_real_finite_matrices(self, bad):
+        for s1, s2 in ((bad, [[1.0]]), ([[1.0]], bad)):
+            with pytest.raises(ParameterError, match="pencil matrix S[12]"):
+                pencil_eigenvalues(s1, s2)
+        np.testing.assert_array_equal(pencil_eigenvalues([[2]], [[1]]), [2.0])
 
     @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
     def test_two_workers_give_the_serial_bits(self, monkeypatch, dist):
@@ -445,7 +461,8 @@ LAPACK_NAMES = ("dtrtrs", "dsyevr", "dsygvd", "dpotrf", "dsytrf")
 
 
 def _addresses(routines):
-    return [ctypes.cast(routine, ctypes.c_void_p).value for routine in routines]
+    """The address of each routine of a name -> routine table, in `LAPACK_NAMES` order."""
+    return [ctypes.cast(routines[name], ctypes.c_void_p).value for name in LAPACK_NAMES]
 
 
 def _capsule_addresses():
@@ -478,9 +495,8 @@ class TestLapackRoute:
         library = sampling._SCIPY_OPENBLAS
         if library is None:
             pytest.skip("this scipy build bundles no OpenBLAS")
-        routines = [getattr(sampling, f"_{name}") for name in LAPACK_NAMES]
-        expected = [getattr(library, f"scipy_{name}_") for name in LAPACK_NAMES]
-        assert _addresses(routines) == _addresses(expected)
+        expected = {name: getattr(library, f"scipy_{name}_") for name in LAPACK_NAMES}
+        assert _addresses(sampling._LAPACK) == _addresses(expected)
         assert "64_" not in library._name
 
     def test_routes_give_the_same_bits(self, monkeypatch, capsule_routines):
@@ -505,8 +521,7 @@ class TestLapackRoute:
 
             library = outputs()
             with monkeypatch.context() as patch:
-                for name, routine in zip(LAPACK_NAMES, capsule_routines, strict=True):
-                    patch.setattr(sampling, f"_{name}", routine)
+                patch.setattr(sampling, "_LAPACK", capsule_routines)
                 capsules = outputs()
             for a, b in zip(library, capsules, strict=True):
                 np.testing.assert_array_equal(a, b, err_msg=str((p, n, t_len)))
@@ -514,8 +529,8 @@ class TestLapackRoute:
     @pytest.mark.parametrize("route", ["module", "capsules"])
     def test_illegal_argument_raises(self, monkeypatch, capsule_routines, route):
         if route == "capsules":
-            monkeypatch.setattr(sampling, "_dpotrf", capsule_routines[3])
-            monkeypatch.setattr(sampling, "_dsytrf", capsule_routines[4])
+            monkeypatch.setitem(sampling._LAPACK, "dpotrf", capsule_routines["dpotrf"])
+            monkeypatch.setitem(sampling._LAPACK, "dsytrf", capsule_routines["dsytrf"])
         # lda = 0 (argument 4) is illegal: LAPACK's xerbla reports it and info comes back -4.
         with pytest.raises(NumericalError, match=r"LAPACK dpotrf failed \(info = -4\)"):
             sampling._lapack("dpotrf", b"U", 1, np.eye(1), 0)
@@ -525,7 +540,7 @@ class TestLapackRoute:
     @pytest.mark.parametrize("route", ["module", "capsules"])
     def test_singular_triangle_raises(self, monkeypatch, capsule_routines, route):
         if route == "capsules":
-            monkeypatch.setattr(sampling, "_dtrtrs", capsule_routines[0])
+            monkeypatch.setitem(sampling._LAPACK, "dtrtrs", capsule_routines["dtrtrs"])
         with pytest.raises(NumericalError, match=r"LAPACK dtrtrs failed \(info = 2\)"):
             sampling._solve_lower(np.diag([1.0, 0.0, 2.0]), np.ones((3, 2)))
 
@@ -549,6 +564,59 @@ class TestOneBlasThread:
                 raise RuntimeError("inside the pin")
         assert [get() for get, _ in controls] == before
 
+    def test_overlapping_pins_from_two_threads(self, two_blas_threads):
+        # A enters, B enters, A exits: B still runs on one thread, and B's exit restores 2.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def first():
+            with sampling._one_blas_thread():
+                a_in.set()
+                b_in.wait(timeout=30)
+            a_out.set()
+
+        def second():
+            a_in.wait(timeout=30)
+            with sampling._one_blas_thread():
+                b_in.set()
+                a_out.wait(timeout=30)
+                seen.append(sampling._blas_threads())
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1]
+        assert sampling._blas_threads() == 2
+
+    def test_pin_holds_under_many_threads(self, two_blas_threads):
+        # More threads than cores enter and leave the pin with frequent switches; each
+        # reads one thread inside its pin, and the counts come back once all have left.
+        seen = []
+        start = threading.Barrier(8)
+
+        def churn():
+            start.wait(timeout=30)
+            for _ in range(1000):
+                with sampling._one_blas_thread():
+                    seen.append(sampling._blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 8000
+        assert sampling._blas_threads() == 2
+
     def test_missing_library_or_symbol_is_skipped(self):
         assert sampling._openblas("numpy", "no-such-dir/libnothing*.so") is None
         assert sampling._thread_control(None, "64_") is None
@@ -565,6 +633,14 @@ class TestPackets:
         np.testing.assert_array_equal(packets[0], vals[[0]])
         np.testing.assert_array_equal(packets[1], vals[[197, 198]])
         np.testing.assert_array_equal(packets[2], vals[[199]])
+
+    def test_reads_any_real_vector(self):
+        spec = SpikeSpec(((5.0, 1), (0.2, 1)))
+        packets = spectrum_packets([3.0, 2.0, 1.0], spec)
+        assert [packet.tolist() for packet in packets] == [[3.0], [1.0]]
+        for bad in ([[3.0, 2.0, 1.0]], ["3", "2", "1"], [3.0, np.nan, 1.0]):
+            with pytest.raises(ParameterError, match="eigenvalues"):
+                spectrum_packets(bad, spec)
 
     def test_rank_beyond_dimension(self):
         dims = ModelDims(p=3, n=12, T=9)
