@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
-from .sampling import ModelDims, _data_spectrum, _one_blas_thread
+from .sampling import EntryDistribution, ModelDims, _data_spectrum, _one_blas_thread
 from .wachter import support_edges
 
 __all__ = [
@@ -105,6 +105,18 @@ class SignalModel:
     @property
     def num_signals(self) -> int:
         return self.mixing.shape[1]
+
+    def whitened_records(self, rng, dist: EntryDistribution) -> tuple[np.ndarray, np.ndarray]:
+        """Whitened records (M s + e, z) for the raw records A s + Sigma2^{1/2} e and Sigma2^{1/2} z.
+
+        The Generator `rng` gives s, e, z in that order, each of `dist`.
+        Congruence by Sigma2^{-1/2} keeps the pencil's eigenvalues for every
+        sample and entry law, and turns the raw records into these.
+        """
+        dims = self.dims
+        s = dist.draw(rng, (self.num_signals, dims.T))
+        x = self.whitened @ s + dist.draw(rng, (dims.p, dims.T))
+        return x, dist.draw(rng, (dims.p, dims.n))
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,15 @@
 Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
 pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
 fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
-counter along a ladder of record models.  Both end in the sampling core: a CLT
-replicate is `sampling.sample_spectrum`; a detection replicate draws its
-whitened records (`_detection_records`) and counts its signals from two
-factorizations of the pencil, by inertia (`sampling._gram_count`), since
-the count needs no eigenvalue.  Replicates are embarrassingly parallel;
-each one derives its own counter-based stream from (master_seed, stream
-tag, replicate index), so results are bit-identical for any thread count
-and any scheduling order.  While a study runs, BLAS runs on one
-thread (`sampling._one_blas_thread`): worker threads, at most one per
-core, are the only parallelism, and the bits do not depend on the
+counter along a ladder of record models.  This module schedules replicates
+and bins their results: a CLT replicate is `sampling.sample_spectrum`; a
+detection replicate is its model's `SignalModel.whitened_records`, counted
+by the detector's rule by inertia (`sampling._gram_count`).  Replicates are
+embarrassingly parallel; each derives its own counter-based stream from
+(master_seed, stream tag, replicate index), so results are bit-identical
+for any thread count and any scheduling order.  While a study runs, BLAS
+runs on one thread (`sampling._one_blas_thread`): worker threads, at most
+one per core, are the only parallelism, and the bits do not depend on the
 machine's BLAS thread setting.
 """
 
@@ -260,28 +259,13 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     return CltStudyResult(constants=consts, empirical=empirical, limit=limit)
 
 
-def _detection_records(
-    rng, model: SignalModel, dist: EntryDistribution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened records (M s + e, z) for the records A s + Sigma2^{1/2} e and Sigma2^{1/2} z.
-
-    The stream gives s, e, z in that order.  Congruence by Sigma2^{-1/2} keeps
-    the pencil's eigenvalues for every sample and entry law, and turns the raw
-    records into these (M: `SignalModel.whitened`).
-    """
-    dims = model.dims
-    s = dist.draw(rng, (model.num_signals, dims.T))
-    x = model.whitened @ s + dist.draw(rng, (dims.p, dims.T))
-    return x, dist.draw(rng, (dims.p, dims.n))
-
-
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder of models.
 
     Each rung's detector levels are read once at its model's dims.  Each
-    replicate draws its records from its own stream (`_detection_records`),
-    counts signals by inertia (`sampling._gram_count`), and lands in one of
-    the count bins 0..4 or "5+".
+    replicate draws its records from its own stream (`SignalModel.whitened_records`),
+    counts them by `detect.estimate_count`'s rule without an eigenvalue
+    (`sampling._gram_count`), and lands in one of the count bins 0..4 or "5+".
     """
     freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
     with _one_blas_thread():
@@ -291,7 +275,7 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
             # Runs to completion inside this iteration, so it may read the loop variables.
             def one(rep: int) -> int:
                 rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)
-                x, z = _detection_records(rng, model, config.dist)
+                x, z = model.whitened_records(rng, config.dist)
                 return _gram_count(x, z, model.dims, threshold, gate)
 
             for k_hat in _map_indexed(one, config.replicates, threads):
@@ -306,32 +290,43 @@ def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyT
     return FrequencyTable(row_labels=COUNT_BIN_LABELS, column_labels=labels, frequencies=freq)
 
 
-def _sample(values) -> np.ndarray:
-    """A 1-d array of at least 2 finite values: what a spread estimate needs."""
+def _sample(values) -> tuple[np.ndarray, float, float]:
+    """A 1-d array of at least 2 finite values, with its mean and unbiased variance.
+
+    Raises:
+        ParameterError: with fewer than 2 values, or if the mean or variance
+            overflows (the values are too far apart); numpy's warning is not shown.
+    """
     arr = finite_array(values, "sample", ndim=1)
     if arr.size < 2:
         raise ParameterError(f"need a sample of size >= 2, got {arr.size} values")
-    return arr
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, variance = float(arr.mean()), float(arr.var(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise ParameterError(
+            f"the sample's spread is not a finite number (mean {mean}, variance {variance}): "
+            "its values are too far apart"
+        )
+    return arr, mean, variance
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Normal-reference bandwidth 1.06 sd m^(-1/5) with the unbiased sd.
 
     Raises:
-        ParameterError: with fewer than 2 samples or zero spread (the
-            bandwidth would degenerate to 0).
+        ParameterError: as `summarize`, or with zero spread (the bandwidth
+            would degenerate to 0).
     """
-    arr = _sample(samples)
-    sd = float(arr.std(ddof=1))
-    if sd == 0.0:
+    arr, _, variance = _sample(samples)
+    if variance == 0.0:
         raise ParameterError("all samples are equal; bandwidth would be zero")
-    return 1.06 * sd * arr.size ** (-0.2)
+    return 1.06 * math.sqrt(variance) * arr.size ** (-0.2)
 
 
 def kde_1d(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate on a grid, Silverman bandwidth."""
-    arr = _sample(samples)
-    h = silverman_bandwidth(arr)
+    h = silverman_bandwidth(samples)
+    arr = finite_array(samples, "sample", ndim=1)
     pts = finite_array(grid, "KDE grid", ndim=1)
     z = (pts[:, None] - arr[None, :]) / h
     return np.exp(-0.5 * z * z).sum(axis=1) / (arr.size * h * math.sqrt(2.0 * math.pi))
@@ -386,13 +381,11 @@ def summarize(
     statistic.
 
     Raises:
-        ParameterError: with fewer than 2 values, non-finite values, a
-            non-finite reference mean, or a reference variance that is not
-            finite and positive.
+        ParameterError: with fewer than 2 values, non-finite values, a mean
+            or variance that overflows, a non-finite reference mean, or a
+            reference variance that is not finite and positive.
     """
-    arr = _sample(values)
-    mean = float(arr.mean())
-    variance = float(arr.var(ddof=1))
+    arr, mean, variance = _sample(values)
     ref_mean = require_real(mean if ref_mean is None else ref_mean, "reference mean")
     ref_var = require_real(variance if ref_var is None else ref_var, "reference variance")
     if ref_var <= 0.0:

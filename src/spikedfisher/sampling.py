@@ -20,9 +20,9 @@ Two paths give it, each with its own stream order:
   diagonal; the spectrum is that of B B^T n/T with B = L2^{-1} Sigma^{1/2} L1.
   This is exact in law for Gaussian entries only.
 
-A detection replicate needs only how many pencil eigenvalues lie above a
-level, so `_gram_count` reads it from the Grams' Cholesky (dpotrf) and
-LDL^T (dsytrf) factorizations by Sylvester's law of inertia.
+A detection replicate needs only how many pencil eigenvalues lie at or
+above a level, so `_gram_count` reads it from the Grams' Cholesky (dpotrf)
+and LDL^T (dsytrf) factorizations by Sylvester's law of inertia.
 
 BLAS threading changes the rounding of both the Grams and the pencil, so
 `_one_blas_thread` runs BLAS on one thread while any command, study or
@@ -389,12 +389,11 @@ def _gram_count(
 ) -> int:
     """The detector's count on the pencil of the Grams of X and Z (`_grams`), by inertia.
 
-    No eigenvalue is computed: 0 when the top eigenvalue l_1 is below `gate`, else #{l > threshold}
-    (gate >= threshold).  By Sylvester's law of inertia, l_1 < g exactly
-    when g S2 - S1 is positive definite, one Cholesky factorization, and the
-    eigenvalues above t are as many as the positive eigenvalues of S1 - t S2,
-    one LDL^T factorization (`_positive_inertia`).  The eigenvalue rule of
-    `detect.estimate_count` counts l >= t; the two differ only on exact ties.
+    No eigenvalue is computed; the rule is `detect.estimate_count`'s: 0 when the top
+    eigenvalue l_1 is below `gate`, else #{l >= threshold} (gate >= threshold).  By
+    Sylvester's law of inertia, s S2 - S1 has one positive eigenvalue per pencil
+    eigenvalue below s: l_1 < g exactly when g S2 - S1 is positive definite (one Cholesky
+    factorization), and #{l >= t} is p less that count at t (one LDL^T, `_positive_inertia`).
 
     Raises:
         NumericalError: as `pencil_eigenvalues`: if S2 is not numerically
@@ -407,7 +406,7 @@ def _gram_count(
     _require_definite_noise(_lapack("dpotrf", b"U", p, factor, p), factor, s2)
     if _lapack("dpotrf", b"U", p, gate * s2 - s1, p) == 0:
         return 0
-    return _positive_inertia(s1 - threshold * s2)
+    return p - _positive_inertia(threshold * s2 - s1)
 
 
 def _wishart_factor(rng: np.random.Generator, p: int, dof: int) -> np.ndarray:
@@ -476,8 +475,10 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
 def _bartlett_spectrum(x: np.ndarray, l2: np.ndarray, dims: ModelDims) -> np.ndarray:
     """Descending eigenvalues of B B^T n/T with B = L2^{-1} X (lower-triangular L2)."""
     b = _solve_lower(l2, x)
-    # b @ b.T is exactly symmetric (numpy forms it with syrk), so it needs no Fortran copy.
-    return _symmetric_eigenvalues(b @ b.T)[::-1] * (dims.n / dims.T)
+    # b @ b.T is exactly symmetric (numpy forms it with syrk), so it needs no Fortran copy.  An
+    # overflow shows no numpy warning: `_symmetric_eigenvalues` and `sample_spectrum` reject it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _symmetric_eigenvalues(b @ b.T)[::-1] * (dims.n / dims.T)
 
 
 def sample_spectrum(

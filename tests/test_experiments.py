@@ -208,13 +208,23 @@ class TestWhitenedReplicate:
         counts = np.zeros(len(experiments.COUNT_BIN_LABELS))
         for rep in range(self.REPS):
             stream = (5, experiments._DETECT_STREAM, 0, rep)
-            records = experiments._detection_records(stream_generator(*stream), model, dist)
+            records = model.whitened_records(stream_generator(*stream), dist)
             whitened = sampling._data_spectrum(*records, self.DIMS)
             dense = self.dense_root_spectrum(stream_generator(*stream), model, dist)
             np.testing.assert_allclose(whitened, dense, rtol=1e-10, atol=0.0)
             counts[min(estimate_count(dense, self.DIMS), counts.size - 1)] += 1
         config = small_detection_config(models=[model], dist=dist, replicates=self.REPS, master_seed=5)
         np.testing.assert_array_equal(run_detection_study(config).frequencies[:, 0], counts / self.REPS)
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    def test_records_draw_s_then_e_then_z(self, dist):
+        model = dense_custom_model(self.DIMS)
+        stream = (5, experiments._DETECT_STREAM, 0, 0)
+        rng = stream_generator(*stream)
+        s, e, z = (dist.draw(rng, shape) for shape in ((2, 200), (40, 200), (40, 80)))
+        x, noise = model.whitened_records(stream_generator(*stream), dist)
+        np.testing.assert_array_equal(x, model.whitened @ s + e)
+        np.testing.assert_array_equal(noise, z)
 
     def test_effective_spikes_are_the_whitened_gram(self):
         model = dense_custom_model(self.DIMS)
@@ -248,7 +258,7 @@ class TestInertiaCount:
         assert (gate == threshold) == (shift is not None)
         for rep in range(self.REPS):
             rng = stream_generator(11, experiments._DETECT_STREAM, 0, rep)
-            x, z = experiments._detection_records(rng, model, dist)
+            x, z = model.whitened_records(rng, dist)
             expected = estimate_count(sampling._data_spectrum(x, z, dims), dims, detector)
             assert sampling._gram_count(x, z, dims, threshold, gate) == expected, rep
 
@@ -265,8 +275,8 @@ class TestInertiaCount:
         assert [count(t, t) for t in (0.5, 1.5, 5.0, 10.0)] == [3, 2, 1, 0]
         assert count(0.5, 9.5) == 0
         assert count(0.5, 9.0) == 3  # 9 S2 - S1 is singular, not positive definite: l_1 clears g
-        # On a tie the inertia counts l > t: 1, where the eigenvalue rule l >= t counts 2.
-        assert count(4.0, 4.0) == 1
+        # On a tie the inertia counts l >= t, as the eigenvalue rule does: 9 and 4.
+        assert count(4.0, 4.0) == 2
 
     def test_positive_inertia(self):
         # A zero diagonal forces a 2 x 2 Bunch-Kaufman block, with one eigenvalue of each sign.
@@ -341,13 +351,13 @@ class TestMapIndexed:
     def test_blas_pinned_while_workers_run(self, monkeypatch):
         pinned = 1 if len(sampling._BLAS_CONTROLS) == 2 else None
         seen = []
-        records = experiments._detection_records
+        records = SignalModel.whitened_records
 
         def recording(*args):
             seen.append(sampling._blas_threads())
             return records(*args)
 
-        monkeypatch.setattr(experiments, "_detection_records", recording)
+        monkeypatch.setattr(SignalModel, "whitened_records", recording)
         run_detection_study(small_detection_config(replicates=4), threads=2)
         assert seen == [pinned] * 8
 
@@ -388,6 +398,30 @@ class TestStudiesPinBlas:
         run_clt_study(small_clt_config(replicates=4))
         assert seen == [1]
         assert sampling._blas_threads() == 2
+
+
+class TestStudyBitsIgnoreCallerBlas:
+    """A study gives the same bits whatever BLAS thread count its caller set."""
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
+    def test_clt_study_on_a_wide_spike_block(self, two_blas_threads, dist):
+        # (U * scales) @ U.T for an orthonormal U has other bits on one and two OpenBLAS threads
+        # at M = 100 (not at M = 4 or 64), so the spike block's root must be formed inside the pin.
+        basis = np.linalg.qr(ensure_generator(3).standard_normal((100, 100)))[0]
+
+        def study():
+            # The caller builds its spike spec and config on whatever thread count it runs.
+            spec = SpikeSpec(((20.0, 100),), basis=basis)
+            dims = ModelDims(120, 240, 600)
+            return run_clt_study(small_clt_config(dims=dims, spec=spec, dist=dist, replicates=4))
+
+        on_two = study()
+        for _, put in sampling._BLAS_CONTROLS:
+            put(1)
+        on_one = study()
+        outputs = zip(on_two.empirical + on_two.limit, on_one.empirical + on_one.limit, strict=True)
+        for a, b in outputs:
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFrequencyTable:
@@ -437,6 +471,12 @@ class TestKde1d:
             kde_1d(np.array([2.0, 2.0, 2.0]), grid)
         with pytest.raises(ParameterError, match="real vector"):
             kde_1d(["1", "2", "4"], grid)
+
+    def test_overflowing_sample_has_no_bandwidth(self):
+        # The squares overflow: no numpy warning, and no bandwidth of inf.
+        for estimate in (silverman_bandwidth, lambda v: kde_1d(v, [0.0])):
+            with pytest.raises(ParameterError, match="sample's spread"):
+                estimate([1e300, -1e300, 3.0])
 
     def test_rejects_bad_grids(self):
         for grid in (["0", "1"], [0.0, math.inf], [[0.0, 1.0]]):
@@ -512,3 +552,10 @@ class TestSummarize:
             summarize([1.0, 2.0, 3.0], float("nan"), 1.0)
         with pytest.raises(ParameterError, match="reference variance"):
             summarize([1.0, 2.0, 3.0], 0.0, math.inf)
+
+    @pytest.mark.parametrize("values", [[1e300, -1e300, 3.0], [1.7e308, 1.7e308]])
+    def test_overflowing_sample_names_its_spread(self, values):
+        # The squares (or the sum) overflow; the error names the sample, not the reference.
+        for reference in ((), (0.0, 1.0)):
+            with pytest.raises(ParameterError, match="sample's spread"):
+                summarize(values, *reference)
