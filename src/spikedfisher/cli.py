@@ -255,7 +255,8 @@ _DETECT_FIELDS = {
 def _detect_config(raw: dict) -> DetectionConfig:
     f = _read_fields(raw, _DETECT_FIELDS)
     models = _build("model", lambda: tuple(map(f["model"], f["ladder"])))
-    return DetectionConfig(models, f["distribution"], f["replicates"], f["seed"], f["dn_override"])
+    rest = (f["distribution"], f["replicates"], f["seed"], f["dn_override"])
+    return _build("ladder", DetectionConfig, models, *rest)
 
 
 # The largest grid `law` writes: 10**6 points take about 150 MB and 5 s, and
@@ -306,9 +307,9 @@ def _kde_grid(values: np.ndarray, points: int) -> np.ndarray:
     return np.linspace(lo - pad, hi + pad, points)
 
 
-def _clt_summary_entry(spec: SpikeSpec, result, index: int) -> dict:
-    spike_value, mult = spec.spikes[index]
-    consts = result.constants[index]
+def _clt_summary_entry(config: CltConfig, result, index: int) -> dict:
+    spike_value, mult = config.spec.spikes[index]
+    consts = config.constants[index]
     emp = result.empirical[index]
     lim = result.limit[index]
     members = []
@@ -322,7 +323,7 @@ def _clt_summary_entry(spec: SpikeSpec, result, index: int) -> dict:
             "limit_variance": lim_stats.variance,
         }
         if mult == 1:
-            direction = spec.block_columns(index)[:, 0]
+            direction = config.spec.block_columns(index)[:, 0]
             ref_var = consts.projection_variance(direction)
             member["reference_variance"] = ref_var
             member["ks_vs_reference"] = summarize(emp[:, j], 0.0, ref_var).ks_distance
@@ -380,7 +381,7 @@ def cmd_simulate_clt(args) -> int:
             "dims": {"p": config.dims.p, "n": config.dims.n, "T": config.dims.T},
             "distribution": config.dist.name,
             "replicates": config.replicates,
-            "spikes": [_clt_summary_entry(config.spec, result, i) for i in range(len(spikes))],
+            "spikes": [_clt_summary_entry(config, result, i) for i in range(len(spikes))],
         }
         _write_json(out / "summary.json", summary)
         written.append("summary.json")

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, finite_array, require_real
-from .sampling import EntryDistribution, ModelDims, _data_spectrum, _one_blas_thread
+from .randomness import ensure_generator
+from .sampling import EntryDistribution, ModelDims, _data_spectrum, _one_blas_thread, require_distribution
 from .wachter import support_edges
 
 __all__ = [
@@ -109,11 +110,12 @@ class SignalModel:
     def whitened_records(self, rng, dist: EntryDistribution) -> tuple[np.ndarray, np.ndarray]:
         """Whitened records (M s + e, z) for the raw records A s + Sigma2^{1/2} e and Sigma2^{1/2} z.
 
-        The Generator `rng` gives s, e, z in that order, each of `dist`.
-        Congruence by Sigma2^{-1/2} keeps the pencil's eigenvalues for every
-        sample and entry law, and turns the raw records into these.
+        `rng` (a Generator or seed, `ensure_generator`) gives s, e, z in that
+        order, each of the EntryDistribution `dist`.  Congruence by
+        Sigma2^{-1/2} keeps the pencil's eigenvalues for every sample and
+        entry law, and turns the raw records into these.
         """
-        dims = self.dims
+        rng, dist, dims = ensure_generator(rng), require_distribution(dist), self.dims
         s = dist.draw(rng, (self.num_signals, dims.T))
         x = self.whitened @ s + dist.draw(rng, (dims.p, dims.T))
         return x, dist.draw(rng, (dims.p, dims.n))

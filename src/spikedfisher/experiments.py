@@ -3,16 +3,18 @@
 Two studies, each run from its own typed config: `run_clt_study(CltConfig)`
 pairs empirical sqrt(p)-scaled outlier packets with draws from the limiting
 fluctuation law, `run_detection_study(DetectionConfig)` tabulates the signal
-counter along a ladder of record models.  This module schedules replicates
-and bins their results: a CLT replicate is `sampling.sample_spectrum`; a
-detection replicate is its model's `SignalModel.whitened_records`, counted
-by the detector's rule by inertia (`sampling._gram_count`).  Replicates are
-embarrassingly parallel; each derives its own counter-based stream from
-(master_seed, stream tag, replicate index), so results are bit-identical
-for any thread count and any scheduling order.  While a study runs, BLAS
-runs on one thread (`sampling._one_blas_thread`): worker threads, at most
-one per core, are the only parallelism, and the bits do not depend on the
-machine's BLAS thread setting.
+counter along a ladder of record models.  A config checks and resolves all a
+study needs when it is built, a runner only schedules replicates and reduces
+them, and a result holds only what was measured.  A CLT replicate is
+`sampling.sample_spectrum`; a detection replicate is its model's
+`SignalModel.whitened_records`, counted by the detector's rule by inertia
+(`sampling._gram_count`).  Replicates are embarrassingly parallel; each
+derives its own counter-based stream from (master_seed, stream tag,
+replicate index), so results are bit-identical for any thread count and any
+scheduling order.  While a study runs, BLAS runs on one thread
+(`sampling._one_blas_thread`): worker threads, at most one per core, are the
+only parallelism, and the bits do not depend on the machine's BLAS thread
+setting.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .sampling import (
     ModelDims,
     _gram_count,
     _one_blas_thread,
+    require_distribution,
     sample_spectrum,
     spectrum_packets,
 )
@@ -79,8 +82,7 @@ def require_replicates(value, minimum: int) -> int:
 
 def _check_study(config) -> None:
     """The rules both study configs share: entry law, replicates, seed."""
-    if not isinstance(config.dist, EntryDistribution):
-        raise ParameterError(f"dist must be an EntryDistribution, got {config.dist!r}")
+    require_distribution(config.dist)
     replicates = require_replicates(config.replicates, config.MIN_REPLICATES)
     object.__setattr__(config, "replicates", replicates)
     object.__setattr__(config, "master_seed", require_seed(config.master_seed))
@@ -88,16 +90,21 @@ def _check_study(config) -> None:
 
 @dataclass(frozen=True, eq=False)
 class CltConfig:
-    """A fluctuation study at one (p, n, T).
+    """A fluctuation study at one (p, n, T), checked whole when built.
 
     Attributes:
         dims: a ModelDims, or anything `ModelDims.coerce` accepts.
-        spec: the spikes; at least one, total rank at most p.  Detachment
-            is checked when the study starts.
+        spec: the spikes; at least one, total rank at most p, each detached at
+            the finite-sample ratios (p/T, p/n), and no packet's limit SD
+            sqrt(sigma_sq / p) below the solvers' rounding floor.
         dist: entry distribution of the data matrices.
         replicates: Monte Carlo replicates, at least 2 (summaries and
             density estimates need spread).
         master_seed: root of all replicate streams (nonnegative, 64-bit).
+        constants: spike i's limit law (`spikes.clt_constants`); computed, not settable.
+
+    Raises:
+        NumericalError: if a spike is so large that its constants overflow.
     """
 
     MIN_REPLICATES: ClassVar[int] = 2
@@ -107,6 +114,7 @@ class CltConfig:
     dist: EntryDistribution
     replicates: int
     master_seed: int
+    constants: tuple[CLTConstants, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", ModelDims.coerce(self.dims))
@@ -116,11 +124,23 @@ class CltConfig:
         _check_study(self)
         # One row per replicate: each spike member's statistic and limit draw.
         require_buffer((self.replicates, 2 * self.spec.rank), "the replicates table")
+        params = self.dims.fisher_params()
+        consts = tuple(clt_constants(params, v, self.dist.fourth_moment) for v in self.spec.values)
+        top = max(support_edges(params).upper, *(c.lam for c in consts))
+        floor = np.finfo(float).eps * top
+        spread = min(math.sqrt(c.sigma_sq / self.dims.p) for c in consts)
+        if floor > _ROUNDING_FLOOR_FRACTION * spread:
+            raise ParameterError(
+                f"the solvers' rounding floor {floor:.3e} (eps times the top eigenvalue's limit "
+                f"{top:.3e}) exceeds {_ROUNDING_FLOOR_FRACTION} of the smallest packet's limit SD "
+                f"{spread:.3e}: that packet would be rounding noise"
+            )
+        object.__setattr__(self, "constants", consts)
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionConfig:
-    """A detection study along a ladder of record models.
+    """A detection study along a ladder of record models, checked whole when built.
 
     Attributes:
         models: at least one SignalModel, one per rung; each rung runs at
@@ -129,6 +149,8 @@ class DetectionConfig:
         replicates: Monte Carlo replicates per rung, at least 1.
         master_seed: root of all replicate streams (nonnegative, 64-bit).
         detector: threshold rule of the signal counter.
+        levels: one (threshold, gate) per rung, `detector.levels` at its
+            model's dims (the default rule needs p >= 3); computed, not settable.
     """
 
     MIN_REPLICATES: ClassVar[int] = 1
@@ -138,6 +160,7 @@ class DetectionConfig:
     replicates: int
     master_seed: int
     detector: DetectorConfig = field(default_factory=DetectorConfig)
+    levels: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         models = self.models
@@ -149,44 +172,33 @@ class DetectionConfig:
         if not isinstance(self.detector, DetectorConfig):
             raise ParameterError(f"detector must be a DetectorConfig, got {self.detector!r}")
         _check_study(self)
+        object.__setattr__(self, "levels", tuple(self.detector.levels(m.dims) for m in models))
 
 
 @dataclass(frozen=True, eq=False)
 class CltStudyResult:
-    """Outcome of a fluctuation study at one (p, n, T).
+    """What a fluctuation study measured; its config holds the limit laws.
 
-    `constants[i]` is spike i's limit law; `empirical[i]` stacks
-    sqrt(p)(l - lam_i) over replicates (shape (replicates, n_i), rows in
-    replicate order, columns descending within the packet) and `limit[i]`
-    holds as many independent draws of that law.
+    `empirical[i]` stacks sqrt(p)(l - lam_i) over replicates (shape
+    (replicates, n_i), rows in replicate order, columns descending within
+    the packet) and `limit[i]` holds as many independent draws of spike i's
+    limit law (`CltConfig.constants[i]`).
     """
 
-    constants: tuple[CLTConstants, ...]
     empirical: tuple[np.ndarray, ...]
     limit: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTable:
-    """Relative frequencies of the estimated count, one column per rung."""
+    """Relative frequencies of the estimated count, one column per rung, stored read-only."""
 
     row_labels: tuple[str, ...]
     column_labels: tuple[str, ...]
     frequencies: np.ndarray
 
     def __post_init__(self) -> None:
-        freq = np.asarray(self.frequencies, dtype=float)
-        if freq.shape != (len(self.row_labels), len(self.column_labels)):
-            raise ParameterError(
-                f"frequency table shape {freq.shape} does not match "
-                f"{len(self.row_labels)} rows x {len(self.column_labels)} columns"
-            )
-        if np.any(freq < 0.0):
-            raise ParameterError("frequencies must be nonnegative")
-        sums = freq.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ParameterError(f"each column must sum to 1, got sums {sums}")
-        freq = freq.copy()
+        freq = np.array(self.frequencies, dtype=float)
         freq.setflags(write=False)
         object.__setattr__(self, "frequencies", freq)
 
@@ -194,9 +206,7 @@ class FrequencyTable:
         try:
             j = self.column_labels.index(label)
         except ValueError:
-            raise ParameterError(
-                f"no column {label!r}; have {self.column_labels}"
-            ) from None
+            raise ParameterError(f"no column {label!r}; have {self.column_labels}") from None
         return self.frequencies[:, j]
 
 
@@ -221,57 +231,36 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     spectrum tag, r) and extracts sqrt(p)(l - phi(a_i)) per spike packet;
     an equally sized batch of limit-law draws comes from its own stream,
     so empirical and limit samples are independent.
-
-    Raises:
-        ParameterError: if a spike is not detached at the finite-sample
-            ratios, or a packet's limit SD sqrt(sigma_sq / p) is below the
-            solvers' rounding floor (`_ROUNDING_FLOOR_FRACTION`).
     """
-    dims, spec = config.dims, config.spec
-    params = dims.fisher_params()
-    v4 = config.dist.fourth_moment
-    # Validates detachment of every spike before any sampling starts.
-    consts = tuple(clt_constants(params, v, v4) for v in spec.values)
-    top = max(support_edges(params).upper, *(c.lam for c in consts))
-    floor = np.finfo(float).eps * top
-    spread = min(math.sqrt(c.sigma_sq / dims.p) for c in consts)
-    if floor > _ROUNDING_FLOOR_FRACTION * spread:
-        raise ParameterError(
-            f"the solvers' rounding floor {floor:.3e} (eps times the top eigenvalue's limit "
-            f"{top:.3e}) exceeds {_ROUNDING_FLOOR_FRACTION} of the smallest packet's limit SD "
-            f"{spread:.3e}: that packet would be rounding noise"
-        )
+    dims, spec, v4 = config.dims, config.spec, config.dist.fourth_moment
     scale = math.sqrt(dims.p)
 
     def one(rep: int) -> tuple[np.ndarray, ...]:
         rng = stream_generator(config.master_seed, _SPECTRUM_STREAM, rep)
-        sample = sample_spectrum(rng, dims, spec, config.dist)
-        packets = spectrum_packets(sample, spec)
-        return tuple(scale * (packet - c.lam) for packet, c in zip(packets, consts))
+        packets = spectrum_packets(sample_spectrum(rng, dims, spec, config.dist), spec)
+        return tuple(scale * (packet - c.lam) for packet, c in zip(packets, config.constants))
 
     with _one_blas_thread():
         per_replicate = _map_indexed(one, config.replicates, threads)
         limit_rng = stream_generator(config.master_seed, _LIMIT_STREAM)
         limit = tuple(
-            sample_limit_batch(limit_rng, params, spec, v4, size=config.replicates)
+            sample_limit_batch(limit_rng, dims.fisher_params(), spec, v4, size=config.replicates)
         )
     empirical = tuple(np.vstack(column) for column in zip(*per_replicate))
-    return CltStudyResult(constants=consts, empirical=empirical, limit=limit)
+    return CltStudyResult(empirical=empirical, limit=limit)
 
 
 def run_detection_study(config: DetectionConfig, threads: int = 1) -> FrequencyTable:
     """Frequency table of the estimated signal count along the ladder of models.
 
-    Each rung's detector levels are read once at its model's dims.  Each
-    replicate draws its records from its own stream (`SignalModel.whitened_records`),
-    counts them by `detect.estimate_count`'s rule without an eigenvalue
+    Each replicate draws its records from its own stream
+    (`SignalModel.whitened_records`), counts them at its rung's
+    `config.levels` by `detect.estimate_count`'s rule without an eigenvalue
     (`sampling._gram_count`), and lands in one of the count bins 0..4 or "5+".
     """
     freq = np.zeros((len(COUNT_BIN_LABELS), len(config.models)))
     with _one_blas_thread():
-        for entry, model in enumerate(config.models):
-            threshold, gate = config.detector.levels(model.dims)
-
+        for entry, (model, (threshold, gate)) in enumerate(zip(config.models, config.levels)):
             # Runs to completion inside this iteration, so it may read the loop variables.
             def one(rep: int) -> int:
                 rng = stream_generator(config.master_seed, _DETECT_STREAM, entry, rep)

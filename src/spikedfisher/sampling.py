@@ -120,6 +120,13 @@ GAUSSIAN = EntryDistribution("gaussian")
 RADEMACHER = EntryDistribution("rademacher")
 
 
+def require_distribution(value) -> EntryDistribution:
+    """The entry law rule of the samplers and study configs: an EntryDistribution, not its name."""
+    if not isinstance(value, EntryDistribution):
+        raise ParameterError(f"dist must be an EntryDistribution, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelDims:
     """Finite-sample dimensions (p, n, T) with p < n so S2 is invertible.
@@ -433,8 +440,7 @@ def _spiked(x: np.ndarray, spec: SpikeSpec) -> np.ndarray:
     if m == 0:
         return x
     scales = np.repeat(np.sqrt(np.asarray(spec.values)), np.asarray(spec.multiplicities))
-    basis = spec.basis_or_identity()
-    x[:m] = ((basis * scales) @ basis.T) @ x[:m]
+    x[:m] = ((spec.basis * scales) @ spec.basis.T) @ x[:m]
     return x
 
 
@@ -501,7 +507,7 @@ def sample_spectrum(
         rng: Generator or seed accepted by `ensure_generator`.
 
     Raises:
-        ParameterError: if the spike rank exceeds p.
+        ParameterError: if `dist` is not an EntryDistribution or the spike rank exceeds p.
         NumericalError: if the simulated S2 is numerically singular (never
             the case for continuous entries when n >= p), an entry is not
             finite, or one of the top min(p, T) eigenvalues is negative
@@ -509,7 +515,7 @@ def sample_spectrum(
     """
     rng = ensure_generator(rng)
     spec.require_fits(dims.p)
-    if dist == GAUSSIAN:
+    if require_distribution(dist) == GAUSSIAN:
         x = _spiked(_wishart_factor(rng, dims.p, dims.T), spec)
         l2 = _wishart_factor(rng, dims.p, dims.n)
         vals = _zero_beyond_rank(_bartlett_spectrum(x, l2, dims), dims)

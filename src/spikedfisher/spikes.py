@@ -60,9 +60,9 @@ class SpikeSpec:
             all values above 1 first in strictly decreasing order, then
             all values below 1 in strictly decreasing order.  An empty
             tuple describes the unspiked null model.
-        basis: optional M x M orthonormal matrix whose columns carry the
-            spike eigenspaces (columns grouped per spike, in spike order).
-            None means the identity basis.
+        basis: M x M orthonormal matrix whose columns carry the spike
+            eigenspaces (columns grouped per spike, in spike order).  None
+            gives the identity.  Stored read-only.
     """
 
     spikes: tuple[tuple[float, int], ...] = ()
@@ -93,8 +93,10 @@ class SpikeSpec:
                     f"spike values must be strictly decreasing within each group, got {values}"
                 )
 
-        if self.basis is not None:
-            m = self.rank
+        m = self.rank
+        if self.basis is None:
+            basis = np.eye(m)
+        else:
             basis = np.array(finite_array(self.basis, "basis"))  # a copy, frozen below
             if basis.shape != (m, m):
                 raise ParameterError(
@@ -107,8 +109,8 @@ class SpikeSpec:
                     f"basis columns are not orthonormal (max Gram deviation {gram_err:.3e}, "
                     f"tolerance {BASIS_ORTHO_TOL})"
                 )
-            basis.setflags(write=False)
-            object.__setattr__(self, "basis", basis)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -123,16 +125,11 @@ class SpikeSpec:
         """Total perturbation rank M = sum of multiplicities."""
         return sum(m for _, m in self.spikes)
 
-    def basis_or_identity(self) -> np.ndarray:
-        if self.basis is not None:
-            return self.basis
-        return np.eye(self.rank)
-
     def block_columns(self, index: int) -> np.ndarray:
         """M x n_i slice of the basis spanning spike `index` (0-based)."""
         start = sum(self.multiplicities[:index])
         stop = start + self.multiplicities[index]
-        return self.basis_or_identity()[:, start:stop]
+        return self.basis[:, start:stop]
 
     def require_fits(self, p: int) -> None:
         """Reject a dimension p below the total spike rank."""

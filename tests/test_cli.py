@@ -253,6 +253,14 @@ class TestSimulateClt:
         assert "rounding floor" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_spike_that_does_not_detach_exits_two(self, tmp_path, capsys):
+        # 2.0 lies inside the critical interval at (c, y) = (0.2, 0.5); the config rejects it.
+        config = write_clt_config(tmp_path / "study.json", spikes=[[2.0, 1]])
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "- spikes: " in err and "critical interval" in err
+        assert not (tmp_path / "out").exists()
+
     def test_packet_of_three_is_summarized_but_not_gridded(self, tmp_path):
         config = write_clt_config(tmp_path / "study.json", spikes=[[20.0, 1], [0.2, 3]])
         out = tmp_path / "out"
@@ -514,6 +522,7 @@ class TestConfigRejections:
                 {"ladder": [[4, 10, 30]], "model": {**CUSTOM_MODEL, "noise_cov": [[1.0, 0.0, 0.0, 0.0]] * 3}},
                 "noise covariance must be a square matrix",
             ),
+            ({"ladder": [[2, 4, 10]], "model": {"kind": "null"}}, "ladder: default threshold rule"),
         ],
     )
     def test_detect_study(self, tmp_path, capsys, overrides, field):

@@ -21,6 +21,7 @@ from spikedfisher import (
     SignalModel,
     SpikeSpec,
     block_noise_model,
+    clt_constants,
     ensure_generator,
     equicorrelated_model,
     estimate_count,
@@ -97,21 +98,48 @@ class TestStudyConfigs:
             with pytest.raises(ParameterError):
                 small_detection_config(**{field: True})
 
+    def test_clt_config_rejects_a_spike_that_does_not_detach(self):
+        # Spike 2.0 sits inside the critical interval at (c, y) = (0.2, 0.5).
+        with pytest.raises(ParameterError, match="critical interval"):
+            small_clt_config(spec=SpikeSpec(spikes=((2.0, 1),)))
+
+    def test_clt_config_rejects_a_packet_below_the_rounding_floor(self):
+        # eps x phi(1e15) is 46 limit SDs of the small packet.
+        with pytest.raises(ParameterError, match="rounding floor"):
+            small_clt_config(dims=(20, 40, 60), spec=SpikeSpec(spikes=((1e15, 1), (0.05, 1))))
+
+    def test_detection_config_rejects_a_rung_without_levels(self):
+        # The default rule's offset log(log p)/p^(2/3) needs p >= 3.
+        with pytest.raises(ParameterError, match="p >= 3"):
+            small_detection_config(models=[null_model(LADDER[0]), null_model(ModelDims(2, 4, 10))])
+
+    def test_configs_hold_what_their_runs_read(self):
+        config = small_clt_config(dist=RADEMACHER)
+        params = DIMS.fisher_params()
+        assert config.constants == tuple(clt_constants(params, v, 1.0) for v in SPEC.values)
+        detector = DetectorConfig(shift=0.05)
+        config = small_detection_config(detector=detector)
+        assert config.levels == tuple(detector.levels(dims) for dims in LADDER)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.levels = ()
+        with pytest.raises(TypeError):
+            small_clt_config(constants=())
+
 
 class TestCltStudy:
     def test_shapes_and_indices(self):
         result = run_clt_study(small_clt_config())
-        assert [f.name for f in dataclasses.fields(result)] == ["constants", "empirical", "limit"]
+        assert [f.name for f in dataclasses.fields(result)] == ["empirical", "limit"]
         assert [e.shape for e in result.empirical] == [(24, 1), (24, 2), (24, 1)]
         assert [l.shape for l in result.limit] == [(24, 1), (24, 2), (24, 1)]
-        assert len(result.constants) == 3
-        assert result.constants[0].lam == pytest.approx(128.0 / 3.0, rel=1e-12)
+        assert len(small_clt_config().constants) == 3
+        assert small_clt_config().constants[0].lam == pytest.approx(128.0 / 3.0, rel=1e-12)
 
     def test_centering_is_at_the_outlier(self):
         # sqrt(p)(l - phi(a)) should straddle 0, not sit at phi(a) scale.
-        result = run_clt_study(small_clt_config(replicates=40))
-        top = result.empirical[0][:, 0]
-        assert abs(top.mean()) < 0.5 * math.sqrt(result.constants[0].sigma_sq)
+        config = small_clt_config(replicates=40)
+        top = run_clt_study(config).empirical[0][:, 0]
+        assert abs(top.mean()) < 0.5 * math.sqrt(config.constants[0].sigma_sq)
 
     def test_thread_count_does_not_change_results(self):
         serial = run_clt_study(small_clt_config(), threads=1)
@@ -134,13 +162,11 @@ class TestCltStudy:
             small_clt_config(spec=SpikeSpec())
         with pytest.raises(ParameterError):
             small_clt_config(dims=(3, 120, 300))  # spike rank 4 exceeds p = 3
-        # Spike 2.0 sits inside the critical interval at (c, y) = (0.2, 0.5).
-        with pytest.raises(ParameterError):
-            run_clt_study(small_clt_config(spec=SpikeSpec(spikes=((2.0, 1),))))
 
     def test_rademacher_study_runs(self):
-        result = run_clt_study(small_clt_config(dist=RADEMACHER, replicates=6))
-        assert result.constants[0].sigma_sq == pytest.approx(2039.8880658436212, rel=1e-9)
+        config = small_clt_config(dist=RADEMACHER, replicates=6)
+        assert [e.shape for e in run_clt_study(config).empirical] == [(6, 1), (6, 2), (6, 1)]
+        assert config.constants[0].sigma_sq == pytest.approx(2039.8880658436212, rel=1e-9)
 
 
 class TestDetectionStudy:
@@ -225,6 +251,13 @@ class TestWhitenedReplicate:
         x, noise = model.whitened_records(stream_generator(*stream), dist)
         np.testing.assert_array_equal(x, model.whitened @ s + e)
         np.testing.assert_array_equal(noise, z)
+
+    def test_records_take_a_seed(self):
+        model = dense_custom_model(self.DIMS)
+        from_seed = model.whitened_records(0, GAUSSIAN)
+        from_generator = model.whitened_records(ensure_generator(0), GAUSSIAN)
+        for a, b in zip(from_seed, from_generator, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_effective_spikes_are_the_whitened_gram(self):
         model = dense_custom_model(self.DIMS)
@@ -425,16 +458,6 @@ class TestStudyBitsIgnoreCallerBlas:
 
 
 class TestFrequencyTable:
-    def test_validates_column_sums(self):
-        good = np.array([[0.5, 1.0], [0.5, 0.0]])
-        FrequencyTable(("a", "b"), ("x", "y"), good)
-        with pytest.raises(ParameterError):
-            FrequencyTable(("a", "b"), ("x", "y"), np.array([[0.6, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ParameterError):
-            FrequencyTable(("a", "b"), ("x", "y"), np.array([[1.5, 1.0], [-0.5, 0.0]]))
-        with pytest.raises(ParameterError):
-            FrequencyTable(("a", "b"), ("x",), good)
-
     def test_column_lookup(self):
         table = FrequencyTable(("a", "b"), ("x", "y"), np.array([[0.5, 1.0], [0.5, 0.0]]))
         np.testing.assert_array_equal(table.column("y"), [1.0, 0.0])

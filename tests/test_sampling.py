@@ -24,6 +24,7 @@ from spikedfisher import (
     SpikeSpec,
     ensure_generator,
     mass_at_zero,
+    null_model,
     pencil_eigenvalues,
     sample_spectrum,
     spectrum_packets,
@@ -43,6 +44,12 @@ class TestEntryDistribution:
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             EntryDistribution("uniform")
+
+    def test_samplers_take_a_distribution_not_its_name(self):
+        with pytest.raises(ParameterError, match="EntryDistribution"):
+            sample_spectrum(0, ModelDims(4, 8, 10), SpikeSpec(((5.0, 1),)), "gaussian")
+        with pytest.raises(ParameterError, match="EntryDistribution"):
+            null_model(ModelDims(4, 8, 10)).whitened_records(ensure_generator(0), "rademacher")
 
     def test_rademacher_support(self):
         draws = RADEMACHER.draw(ensure_generator(3), (100, 7))
@@ -159,8 +166,7 @@ class TestSampleSpectrum:
 def block_root(spec: SpikeSpec) -> np.ndarray:
     """Sigma^{1/2} on the spiked block, U diag(sqrt(a)) U^T (test-local)."""
     scales = np.sqrt(np.repeat(spec.values, spec.multiplicities))
-    basis = spec.basis_or_identity()
-    return (basis * scales) @ basis.T
+    return (spec.basis * scales) @ spec.basis.T
 
 
 class TestWishartFactor:

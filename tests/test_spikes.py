@@ -29,11 +29,16 @@ class TestSpikeSpec:
         assert spec.values == (20.0, 0.2, 0.1)
         assert spec.multiplicities == (1, 2, 1)
         assert spec.rank == 4
-        assert spec.basis_or_identity().shape == (4, 4)
+        assert spec.basis.shape == (4, 4)
         assert spec.block_columns(1).shape == (4, 2)
         np.testing.assert_array_equal(
             spec.block_columns(2)[:, 0], np.array([0.0, 0.0, 0.0, 1.0])
         )
+
+    def test_default_basis_is_a_read_only_identity(self):
+        basis = SpikeSpec(((5.0, 2),)).basis
+        np.testing.assert_array_equal(basis, np.eye(2))
+        assert not basis.flags.writeable
 
     def test_empty_spec_is_the_null_model(self):
         spec = SpikeSpec()
