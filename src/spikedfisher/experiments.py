@@ -198,7 +198,10 @@ class FrequencyTable:
     frequencies: np.ndarray
 
     def __post_init__(self) -> None:
-        freq = np.array(self.frequencies, dtype=float)
+        freq = np.array(finite_array(self.frequencies, "frequencies"))  # a copy, frozen below
+        shape = (len(self.row_labels), len(self.column_labels))
+        if freq.shape != shape or np.any(freq < 0.0):
+            raise ParameterError(f"frequencies must be nonnegative, of shape {shape}, got {freq.shape}")
         freq.setflags(write=False)
         object.__setattr__(self, "frequencies", freq)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, finite_array, require_count, require_real
+from .errors import NumericalError, ParameterError, finite_array, require_buffer, require_count, require_real
 from .randomness import ensure_generator
 from .wachter import (
     FisherParams,
@@ -94,6 +94,7 @@ class SpikeSpec:
                 )
 
         m = self.rank
+        require_buffer((m, m), "the spike basis")  # before the identity below is allocated
         if self.basis is None:
             basis = np.eye(m)
         else:

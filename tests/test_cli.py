@@ -479,6 +479,8 @@ class TestConfigRejections:
             ({"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}, "basis"),
             ({"basis": [[True, False, False], [False, True, False], [False, False, True]]}, "basis"),
             ({"spikes": [[10**400, 1]]}, "spikes"),
+            # A spike basis beyond the size rule, rejected before the identity is built.
+            ({"spikes": [[20.0, 10**15]]}, "spikes"),
         ],
     )
     def test_simulate_clt(self, tmp_path, capsys, overrides, field):

@@ -458,6 +458,19 @@ class TestStudyBitsIgnoreCallerBlas:
 
 
 class TestFrequencyTable:
+    @pytest.mark.parametrize(
+        "frequencies",
+        [
+            [[1.5, 1.0], [-0.5, 0.0]],
+            [[0.5, np.nan], [0.5, 0.0]],
+            [[0.5], [0.5]],
+            [["0.5", "1"], ["0.5", "0"]],
+        ],
+    )
+    def test_rejects_malformed_tables(self, frequencies):
+        with pytest.raises(ParameterError):
+            FrequencyTable(("a", "b"), ("x", "y"), frequencies)
+
     def test_column_lookup(self):
         table = FrequencyTable(("a", "b"), ("x", "y"), np.array([[0.5, 1.0], [0.5, 0.0]]))
         np.testing.assert_array_equal(table.column("y"), [1.0, 0.0])

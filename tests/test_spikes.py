@@ -56,6 +56,7 @@ class TestSpikeSpec:
             ((-2.0, 1),),
             ((0.0, 1),),
             ((2.0, 0),),                  # empty block
+            ((2.0, 10**15),),             # identity basis beyond the size rule
         ],
     )
     def test_rejects_bad_spikes(self, spikes):
