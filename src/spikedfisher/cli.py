@@ -345,8 +345,8 @@ def cmd_simulate_clt(args) -> int:
     config, fields = _clt_config(raw)
     kde_points = fields["kde_points"]
     result = run_clt_study(config, threads=args.threads)
-    out = _out_dir(args)
 
+    # Every file is computed before the output directory is made, so a failure writes nothing.
     spikes = config.spec.spikes
     header = ["replicate"] + [
         f"{kind}_{i + 1}_{j + 1}"
@@ -355,8 +355,7 @@ def cmd_simulate_clt(args) -> int:
         for j in range(mult)
     ]
     table = np.hstack(result.empirical + result.limit)
-    _write_csv(out / "replicates.csv", header, table, range(len(table)))
-    written = ["replicates.csv"]
+    files = {"replicates.csv": (_write_csv, header, table, range(len(table)))}
 
     if "kde" in fields["outputs"]:
         # Packets of multiplicity > 2 are summarized but not gridded.
@@ -373,8 +372,7 @@ def cmd_simulate_clt(args) -> int:
             # Rows run over the first grid, then the second: the C order of the surfaces.
             lattice = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
             table = np.column_stack(lattice + dens)
-            _write_csv(out / name, coords + ["empirical_density", "limit_density"], table)
-            written.append(name)
+            files[name] = (_write_csv, coords + ["empirical_density", "limit_density"], table)
 
     if "summary" in fields["outputs"]:
         summary = {
@@ -383,12 +381,13 @@ def cmd_simulate_clt(args) -> int:
             "replicates": config.replicates,
             "spikes": [_clt_summary_entry(config, result, i) for i in range(len(spikes))],
         }
-        _write_json(out / "summary.json", summary)
-        written.append("summary.json")
+        files["summary.json"] = (_write_json, summary)
 
+    out = _out_dir(args)
+    for name, (write, *content) in files.items():
+        write(out / name, *content)
     _write_manifest(out, args, raw)
-    written.append("manifest.json")
-    print(f"wrote {', '.join(written)} to {out}")
+    print(f"wrote {', '.join([*files, 'manifest.json'])} to {out}")
     return 0
 
 

@@ -235,7 +235,7 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     an equally sized batch of limit-law draws comes from its own stream,
     so empirical and limit samples are independent.
     """
-    dims, spec, v4 = config.dims, config.spec, config.dist.fourth_moment
+    dims, spec = config.dims, config.spec
     scale = math.sqrt(dims.p)
 
     def one(rep: int) -> tuple[np.ndarray, ...]:
@@ -246,9 +246,7 @@ def run_clt_study(config: CltConfig, threads: int = 1) -> CltStudyResult:
     with _one_blas_thread():
         per_replicate = _map_indexed(one, config.replicates, threads)
         limit_rng = stream_generator(config.master_seed, _LIMIT_STREAM)
-        limit = tuple(
-            sample_limit_batch(limit_rng, dims.fisher_params(), spec, v4, size=config.replicates)
-        )
+        limit = tuple(sample_limit_batch(limit_rng, spec, config.constants, size=config.replicates))
     empirical = tuple(np.vstack(column) for column in zip(*per_replicate))
     return CltStudyResult(empirical=empirical, limit=limit)
 

@@ -19,23 +19,26 @@ __all__ = ["ensure_generator", "stream_generator"]
 
 
 def require_seed(value) -> int:
-    """A master seed: an integer (not a bool) in [0, 2**64), returned as an int."""
+    """A seed: an integer (not a bool) in [0, 2**64), returned as an int."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
-        raise ParameterError(f"master seed must be a nonnegative 64-bit integer, got {value!r}")
+        raise ParameterError(f"seed must be a nonnegative 64-bit integer, got {value!r}")
     return int(value)
 
 
 def ensure_generator(seed_or_rng) -> np.random.Generator:
-    """Pass a Generator through; spawn a fresh Philox stream from anything else.
+    """Pass a Generator through; spawn a fresh Philox stream from a seed.
 
-    Accepts an existing `numpy.random.Generator`, an integer seed, or a
-    tuple of integers (entropy for a `SeedSequence`).
+    Accepts an existing `numpy.random.Generator`, a seed, or a tuple of
+    seeds (entropy for a `SeedSequence`); every seed passes `require_seed`,
+    so no stream is drawn from OS entropy.
     """
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_or_rng)))
+    several = isinstance(seed_or_rng, tuple)
+    entropy = tuple(map(require_seed, seed_or_rng)) if several else require_seed(seed_or_rng)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def stream_generator(master_seed: int, *tags: int) -> np.random.Generator:
     """Independent stream for one unit of work, keyed by (master_seed, *tags)."""
-    return ensure_generator((int(master_seed), *map(int, tags)))
+    return ensure_generator((master_seed, *tags))

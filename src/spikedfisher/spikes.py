@@ -15,9 +15,10 @@ For a detached spike the packet of sample eigenvalues associated with a_i,
 scaled by sqrt(p) around phi(a_i), converges jointly to the eigenvalues of
 -U_i^T R U_i / delta_i: R is a symmetric Gaussian M x M matrix and U_i
 spans the spike's eigenspace.  The limit is Gaussian exactly when the spike
-is simple.  `CLTConstants` holds each spike's law (from `clt_constants`),
-and `sample_limit_batch` draws from it so Monte Carlo spectra can be
-compared against it.
+is simple.  The law depends only on (a_i, c, y, E w^4): `clt_constants`
+derives it as a `CLTConstants`, once per spike of a study (`CltConfig`
+holds them), and `sample_limit_batch` draws from the laws it is given so
+Monte Carlo spectra can be compared against them.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class SpikeSpec:
     Attributes:
         spikes: sequence of (value, multiplicity) pairs, stored as a
             tuple.  Multiplicities are integers >= 1.  Values must be
-            finite, positive, different from 1, and listed in canonical order:
-            all values above 1 first in strictly decreasing order, then
-            all values below 1 in strictly decreasing order.  An empty
+            finite, positive, different from 1, and listed in canonical order,
+            the one order the packets take in the spectrum: the key
+            (a < 1, -a) strictly increases, so values above 1 come first,
+            then values below 1, each group strictly decreasing.  An empty
             tuple describes the unspiked null model.
         basis: M x M orthonormal matrix whose columns carry the spike
             eigenspaces (columns grouped per spike, in spike order).  None
@@ -79,19 +81,12 @@ class SpikeSpec:
             cleaned.append((spike_value(value), require_count(mult, "spike multiplicity", 1)))
         object.__setattr__(self, "spikes", tuple(cleaned))
 
-        values = [v for v, _ in cleaned]
-        above = [v for v in values if v > 1.0]
-        below = [v for v in values if v < 1.0]
-        if values != above + below:
+        keys = [(v < 1.0, -v) for v, _ in cleaned]  # the canonical order, strictly increasing
+        if any(k >= k_next for k, k_next in zip(keys, keys[1:])):
             raise ParameterError(
-                "spikes above 1 must all precede spikes below 1; got values "
-                f"{values}"
+                "spikes above 1 must come first, then spikes below 1, each group strictly "
+                f"decreasing; got values {[v for v, _ in cleaned]}"
             )
-        for group in (above, below):
-            if any(x <= z for x, z in zip(group, group[1:])):
-                raise ParameterError(
-                    f"spike values must be strictly decreasing within each group, got {values}"
-                )
 
         m = self.rank
         require_buffer((m, m), "the spike basis")  # before the identity below is allocated
@@ -132,33 +127,25 @@ class SpikeSpec:
         stop = start + self.multiplicities[index]
         return self.basis[:, start:stop]
 
-    def require_fits(self, p: int) -> None:
-        """Reject a dimension p below the total spike rank."""
+    def require_fits(self, p: int) -> int:
+        """p as an int; rejects a p that is not a count or is below the total spike rank."""
+        p = require_count(p, "dimension p", 0)
         if p < self.rank:
             raise ParameterError(f"total spike rank {self.rank} exceeds the dimension p={p}")
+        return p
 
     def packet_indices(self, p: int) -> tuple[np.ndarray, ...]:
         """0-based positions of each spike's packet in the descending spectrum.
 
-        Spikes above 1 push their packets to the top of the spectrum (the
-        i-th such packet occupies ranks n_1 + ... + n_{i-1} + 1 onward);
-        spikes below 1 pull theirs to the bottom, stacked from rank p
-        upward in reverse spike order.
+        In canonical order the spikes above 1 take the top M ranks and those
+        below 1 the bottom: packet i starts at spike i's offset in the
+        M-block, shifted by p - M when a_i < 1.
         """
-        self.require_fits(p)
-        mults = self.multiplicities
-        k0 = sum(1 for v in self.values if v > 1.0)
-        out = []
-        offset = 0
-        for n_i in mults[:k0]:
-            out.append(np.arange(offset, offset + n_i))
-            offset += n_i
-        suffix = sum(mults[k0:])
-        offset = p - suffix
-        for n_i in mults[k0:]:
-            out.append(np.arange(offset, offset + n_i))
-            offset += n_i
-        return tuple(out)
+        shift = self.require_fits(p) - self.rank
+        return tuple(
+            np.arange(n_i) + sum(self.multiplicities[:i]) + (shift if value < 1.0 else 0)
+            for i, (value, n_i) in enumerate(self.spikes)
+        )
 
 
 def phi(params: FisherParams, a: float) -> float:
@@ -289,32 +276,35 @@ def clt_constants(params: FisherParams, a: float, fourth_moment: float = 3.0) ->
 
 
 def sample_limit_batch(
-    rng,
-    params: FisherParams,
-    spec: SpikeSpec,
-    fourth_moment: float = 3.0,
-    size: int = 1,
+    rng, spec: SpikeSpec, constants: tuple[CLTConstants, ...], size: int = 1
 ) -> list[np.ndarray]:
     """Batch of independent draws from the joint limiting fluctuation law.
 
-    For spike i, one draw is the descending spectrum of -(U_i^T R_i U_i) /
-    delta_i, where U_i is the spike's basis block and R_i a fresh M x M
-    matrix of the spike's law (`CLTConstants`): its diagonal is drawn
-    first, then its upper triangle row by row.  Blocks of different spikes
-    are independent.
+    `constants[i]` is spike i's law, as `CltConfig.constants` holds it; this
+    function derives nothing from the spike values.  For spike i, one draw
+    is the descending spectrum of -(U_i^T R_i U_i) / delta_i, where U_i is
+    the spike's basis block and R_i a fresh M x M matrix of that law: its
+    diagonal is drawn first, then its upper triangle row by row.  Blocks of
+    different spikes are independent.
 
     Returns:
         One (size, n_i) array per spike, rows independent, columns sorted
         descending.
+
+    Raises:
+        ParameterError: unless `constants` holds exactly one CLTConstants per spike.
     """
+    if not isinstance(constants, (list, tuple)) or len(constants) != len(spec.spikes) or not all(
+        isinstance(c, CLTConstants) for c in constants
+    ):
+        raise ParameterError(f"need one CLTConstants per spike of {spec.spikes}, got {constants!r}")
     rng = ensure_generator(rng)
     size = require_count(size, "batch size", 1)
     m = spec.rank
     diag = np.arange(m)
     rows, cols = np.triu_indices(m, k=1)
     out = []
-    for i, (value, _) in enumerate(spec.spikes):
-        consts = clt_constants(params, value, fourth_moment)
+    for i, consts in enumerate(constants):
         rmats = np.zeros((size, m, m))
         rmats[:, diag, diag] = rng.normal(0.0, math.sqrt(consts._variance_form(1.0)), (size, m))
         if m > 1:

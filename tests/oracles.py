@@ -4,7 +4,8 @@ None of these is needed to run a study or the command line.  The chain
 quadrature -> `moment_values` -> `clt_constants` ties the package's closed
 forms to the paper's integrals; `stieltjes`, `companion_stieltjes`,
 `effective_spikes`, `phi_small_y_reduction` and `detectability` restate the
-paper's identities and limits in the form the tests compare with.
+paper's identities and limits in the form the tests compare with;
+`limit_draws` samples the limit law at given ratios.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scipy import integrate
 
 from spikedfisher.detect import SignalModel
 from spikedfisher.errors import ParameterError, require_real
+from spikedfisher.spikes import SpikeSpec, clt_constants, sample_limit_batch
 from spikedfisher.wachter import (
     FisherParams,
     SupportEdges,
@@ -230,3 +232,9 @@ def detectability(model: SignalModel, params: FisherParams) -> int:
     """
     _, high = critical_interval(params)
     return int(np.count_nonzero(effective_spikes(model) + 1.0 > high))
+
+
+def limit_draws(rng, params: FisherParams, spec: SpikeSpec, fourth_moment=3.0, size=1):
+    """`sample_limit_batch` with each spike's law derived at `params` and `fourth_moment`."""
+    constants = tuple(clt_constants(params, value, fourth_moment) for value in spec.values)
+    return sample_limit_batch(rng, spec, constants, size=size)

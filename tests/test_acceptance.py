@@ -35,13 +35,18 @@ from spikedfisher import (
     phi,
     run_clt_study,
     run_detection_study,
-    sample_limit_batch,
     sample_spectrum,
     stream_generator,
     summarize,
     support_edges,
 )
-from oracles import companion_stieltjes, integrate_against_density, moment_values, stieltjes
+from oracles import (
+    companion_stieltjes,
+    integrate_against_density,
+    limit_draws,
+    moment_values,
+    stieltjes,
+)
 from spikedfisher.cli import main as cli_main
 from spikedfisher.experiments import _map_indexed
 
@@ -261,8 +266,8 @@ def test_08_rotation_invariance():
         if j % 3 == 0:
             basis[0, 0] = -1.0  # sign change on a simple spike
         rotated = SpikeSpec(spikes=SPIKES, basis=basis)
-        one = sample_limit_batch(ensure_generator((SEED, 80, j)), REFERENCE, base)
-        two = sample_limit_batch(ensure_generator((SEED, 80, j)), REFERENCE, rotated)
+        one = limit_draws(ensure_generator((SEED, 80, j)), REFERENCE, base)
+        two = limit_draws(ensure_generator((SEED, 80, j)), REFERENCE, rotated)
         for left, right in zip(one, two):
             worst = max(worst, float(np.max(np.abs(left - right))))
     print(f"max eigenvalue deviation over 20 block rotations: {worst:.2e}")

@@ -261,6 +261,16 @@ class TestSimulateClt:
         assert "invalid configuration" in err and "- spikes: " in err and "critical interval" in err
         assert not (tmp_path / "out").exists()
 
+    def test_failing_study_writes_nothing(self, tmp_path, capsys):
+        # p = 1 with Rademacher entries: every replicate has the same statistic, so the KDE fails.
+        config = write_clt_config(
+            tmp_path / "study.json", dims=[1, 2, 1], spikes=[[20.0, 1]], distribution="rademacher",
+            replicates=5, seed=1,
+        )
+        assert run_cli("simulate-clt", "--config", config, "--out-dir", tmp_path / "out") == 2
+        assert "bandwidth would be zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_packet_of_three_is_summarized_but_not_gridded(self, tmp_path):
         config = write_clt_config(tmp_path / "study.json", spikes=[[20.0, 1], [0.2, 3]])
         out = tmp_path / "out"

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from spikedfisher import experiments, sampling
+from spikedfisher import experiments, sampling, spikes
 from spikedfisher import (
     GAUSSIAN,
     RADEMACHER,
@@ -154,6 +154,20 @@ class TestCltStudy:
             np.testing.assert_array_equal(a, b)
         other = run_clt_study(small_clt_config(master_seed=8))
         assert not np.array_equal(one.empirical[0], other.empirical[0])
+
+    def test_limit_draws_read_the_config_laws(self, monkeypatch):
+        # Each spike's law is derived once, when the config is built.
+        config = small_clt_config(replicates=6)
+        before = run_clt_study(config)
+
+        def derive(*_args):
+            raise AssertionError("a study derived a limit law after its config was built")
+
+        monkeypatch.setattr(spikes, "clt_constants", derive)
+        monkeypatch.setattr(experiments, "clt_constants", derive)
+        after = run_clt_study(config)
+        for a, b in zip(before.empirical + before.limit, after.empirical + after.limit):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_targets(self):
         with pytest.raises(ParameterError):

@@ -86,6 +86,17 @@ class TestModelDims:
             ModelDims(p=0, n=40, T=100)
 
 
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", [None, True, "abc", 1.5, -1, 2**64, (1, -1), (1, 2.5), (1, None)])
+    def test_rejects_what_is_not_a_seed(self, seed):
+        # None would draw from OS entropy, and a cast would key a stream by a value not given.
+        with pytest.raises(ParameterError, match="seed must be"):
+            sample_spectrum(seed, ModelDims(4, 8, 10), SpikeSpec(((5.0, 1),)))
+        tags = seed if isinstance(seed, tuple) else (seed,)
+        with pytest.raises(ParameterError, match="seed must be"):
+            stream_generator(3, *tags)
+
+
 class TestSampleSpectrum:
     DIMS = ModelDims(p=40, n=90, T=120)
 

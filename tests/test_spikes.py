@@ -18,7 +18,7 @@ from spikedfisher import (
     spike_limit,
     support_edges,
 )
-from oracles import moment_values, phi_small_y_reduction
+from oracles import limit_draws, moment_values, phi_small_y_reduction
 
 REFERENCE = FisherParams(c=0.2, y=0.5)
 
@@ -51,6 +51,7 @@ class TestSpikeSpec:
             ((0.2, 1), (20.0, 1)),        # sub-unit before super-unit
             ((5.0, 1), (20.0, 1)),        # super-unit group not descending
             ((20.0, 1), (0.1, 1), (0.2, 1)),  # sub-unit group not descending
+            ((20.0, 1), (0.2, 1), (0.2, 1)),  # duplicate value below 1
             ((20.0, 1), (20.0, 2)),       # duplicate value
             ((1.0, 1),),                  # the baseline is not a spike
             ((-2.0, 1),),
@@ -98,6 +99,11 @@ class TestSpikeSpec:
         spec = SpikeSpec(spikes=((8.0, 2), (5.0, 3)))
         with pytest.raises(ParameterError):
             spec.packet_indices(4)
+
+    @pytest.mark.parametrize("p", [10.5, 10.0, True, "10", -1])
+    def test_packet_dimension_is_a_count(self, p):
+        with pytest.raises(ParameterError, match="dimension p"):
+            SpikeSpec(((5.0, 1), (0.5, 1))).packet_indices(p)
 
 
 class TestTransitionMap:
@@ -251,18 +257,31 @@ class TestLimitSampler:
     SPEC = SpikeSpec(spikes=((20.0, 1), (0.2, 2), (0.1, 1)))
 
     def test_shapes_and_order(self):
-        blocks = sample_limit_batch(7, REFERENCE, self.SPEC, size=11)
+        blocks = limit_draws(7, REFERENCE, self.SPEC, size=11)
         assert [b.shape for b in blocks] == [(11, 1), (11, 2), (11, 1)]
         assert np.all(blocks[1][:, 0] >= blocks[1][:, 1])
 
     def test_determinism(self):
-        one = sample_limit_batch(42, REFERENCE, self.SPEC, size=6)
-        two = sample_limit_batch(42, REFERENCE, self.SPEC, size=6)
+        one = limit_draws(42, REFERENCE, self.SPEC, size=6)
+        two = limit_draws(42, REFERENCE, self.SPEC, size=6)
         for a, b in zip(one, two):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_spec(self):
-        assert sample_limit_batch(1, REFERENCE, SpikeSpec(), size=3) == []
+        assert limit_draws(1, REFERENCE, SpikeSpec(), size=3) == []
+
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            (clt_constants(REFERENCE, 20.0),) * 2,  # one law short
+            (clt_constants(REFERENCE, 20.0),) * 4,  # one law too many
+            (clt_constants(REFERENCE, 20.0), 0.2, clt_constants(REFERENCE, 0.1)),
+            None,
+        ],
+    )
+    def test_needs_one_law_per_spike(self, constants):
+        with pytest.raises(ParameterError, match="one CLTConstants per spike"):
+            sample_limit_batch(7, self.SPEC, constants, size=3)
 
     @staticmethod
     def replay(seed, spec, v4, size):
@@ -300,7 +319,7 @@ class TestLimitSampler:
             ),
             "rank-one": SpikeSpec(((0.1, 1),)),
         }[basis]
-        drawn = sample_limit_batch(np.random.default_rng(31), REFERENCE, spec, v4, size=7)
+        drawn = limit_draws(np.random.default_rng(31), REFERENCE, spec, v4, size=7)
         expected = self.replay(31, spec, v4, 7)
         assert len(drawn) == len(expected) == len(spec.spikes)
         for got, want in zip(drawn, expected):
@@ -314,7 +333,7 @@ class TestLimitSampler:
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
         spec = SpikeSpec(spikes=((20.0, 1), (0.2, 1)), basis=rot)
-        blocks = sample_limit_batch(3, REFERENCE, spec, size=400_000)
+        blocks = limit_draws(3, REFERENCE, spec, size=400_000)
         target = clt_constants(REFERENCE, 20.0).sigma_sq
         assert blocks[0][:, 0].var() == pytest.approx(target, rel=0.02)
 
@@ -331,7 +350,7 @@ class TestLimitSampler:
         rng = np.random.default_rng(2024)
         chunks = []
         for _ in range(5):
-            blocks = sample_limit_batch(rng, REFERENCE, spec, v4, size=200_000)
+            blocks = limit_draws(rng, REFERENCE, spec, v4, size=200_000)
             chunks.append(np.hstack([blocks[0], blocks[1]]))
         draws = np.vstack(chunks)
         assert draws.shape == (1_000_000, 2)
