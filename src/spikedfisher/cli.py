@@ -13,7 +13,9 @@ seed are byte-identical regardless of thread count: BLAS runs on one
 thread for the length of a command, so `--threads` is the only
 parallelism and the machine's BLAS setting does not reach the bytes
 (manifest.json records it as `blas_threads`).  Timestamps live only in
-manifest.json.  Exit codes: 0 success, 2 invalid parameters or config,
+manifest.json.  A command computes all its files before it makes
+--out-dir, so a failing study writes nothing.  Exit codes: 0 success,
+2 invalid parameters or config, or an --out-dir that cannot be written,
 3 numerical failure.
 
 A study's JSON config is read through its subcommand's field table: each
@@ -77,52 +79,53 @@ __all__ = ["main", "build_parser"]
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header, table: np.ndarray, labels=None) -> None:
+def _write_csv(fh, header, table: np.ndarray, labels=None) -> None:
     """Write a header, then the rows of a 2-d float table, each led by its label if given.
 
     Floats are written "%.17g" and need no quoting; a label is written by %s.
     """
     width = table.shape[1]
     line = ("" if labels is None else "%s,") + ",".join(["%.17g"] * width) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            cells = block.ravel().tolist()
-            if labels is not None:
-                columns = [cells[j::width] for j in range(width)]
-                cells = [c for row in zip(labels[start : start + len(block)], *columns) for c in row]
-            fh.write(line * len(block) % tuple(cells))
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        cells = block.ravel().tolist()
+        if labels is not None:
+            columns = [cells[j::width] for j in range(width)]
+            cells = [c for row in zip(labels[start : start + len(block)], *columns) for c in row]
+        fh.write(line * len(block) % tuple(cells))
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_outputs(args, config: dict, files: dict) -> str:
+    """Make --out-dir, write `files` and then manifest.json; return the line to print.
 
-
-def _write_manifest(out_dir: Path, args, config: dict) -> None:
-    """Record what ran: a study's `config` is the one it read, after any --seed."""
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "command": args.command,
-            "version": __version__,
-            "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-            "seed": config.get("seed"),
-            "threads": getattr(args, "threads", None),
-            "blas_threads": _blas_threads(),
-            "config": config,
-        },
-    )
-
-
-def _out_dir(args) -> Path:
-    path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    `files` maps a name ending ".csv" to `_write_csv`'s table arguments and any
+    other name to a JSON payload.  The manifest records what ran: a study's
+    `config` is the one it read, after any --seed.
+    """
+    out = Path(args.out_dir)
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "seed": config.get("seed"),
+        "threads": getattr(args, "threads", None),
+        "blas_threads": _blas_threads(),
+        "config": config,
+    }
+    files = {**files, "manifest.json": manifest}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            with open(out / name, "w", encoding="utf-8", newline="") as fh:
+                if name.endswith(".csv"):
+                    _write_csv(fh, *content)
+                else:
+                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write the output directory {out}: {exc}") from exc
+    return f"wrote {', '.join(files)} to {out}"
 
 
 def _load_config(path: str, seed: int | None) -> dict:
@@ -279,24 +282,20 @@ def cmd_law(args) -> int:
             )
         raise ParameterError(f"need --x-min < --x-max with a finite width, got [{x_min}, {x_max}]")
 
-    out = _out_dir(args)
     grid = np.linspace(x_min, x_max, args.points)
-    _write_csv(out / "law.csv", ["x", "density"], np.column_stack([grid, density(params, grid)]))
     low, high = critical_interval(params)
-    _write_json(
-        out / "summary.json",
-        {
+    files = {
+        "law.csv": (["x", "density"], np.column_stack([grid, density(params, grid)])),
+        "summary.json": {
             "b1": edges.lower,
             "b": edges.upper,
             "mass_at_zero": mass_at_zero(params),
             "critical_low": low,
             "critical_high": high,
         },
-    )
-    _write_manifest(
-        out, args, {"c": args.c, "y": args.y, "points": args.points, "x_min": x_min, "x_max": x_max}
-    )
-    print(f"wrote law.csv, summary.json, manifest.json to {out}")
+    }
+    config = {"c": args.c, "y": args.y, "points": args.points, "x_min": x_min, "x_max": x_max}
+    print(_write_outputs(args, config, files))
     return 0
 
 
@@ -346,7 +345,6 @@ def cmd_simulate_clt(args) -> int:
     kde_points = fields["kde_points"]
     result = run_clt_study(config, threads=args.threads)
 
-    # Every file is computed before the output directory is made, so a failure writes nothing.
     spikes = config.spec.spikes
     header = ["replicate"] + [
         f"{kind}_{i + 1}_{j + 1}"
@@ -355,7 +353,7 @@ def cmd_simulate_clt(args) -> int:
         for j in range(mult)
     ]
     table = np.hstack(result.empirical + result.limit)
-    files = {"replicates.csv": (_write_csv, header, table, range(len(table)))}
+    files = {"replicates.csv": (header, table, range(len(table)))}
 
     if "kde" in fields["outputs"]:
         # Packets of multiplicity > 2 are summarized but not gridded.
@@ -372,7 +370,7 @@ def cmd_simulate_clt(args) -> int:
             # Rows run over the first grid, then the second: the C order of the surfaces.
             lattice = [g.ravel() for g in np.meshgrid(*grids, indexing="ij")]
             table = np.column_stack(lattice + dens)
-            files[name] = (_write_csv, coords + ["empirical_density", "limit_density"], table)
+            files[name] = (coords + ["empirical_density", "limit_density"], table)
 
     if "summary" in fields["outputs"]:
         summary = {
@@ -381,25 +379,17 @@ def cmd_simulate_clt(args) -> int:
             "replicates": config.replicates,
             "spikes": [_clt_summary_entry(config, result, i) for i in range(len(spikes))],
         }
-        files["summary.json"] = (_write_json, summary)
+        files["summary.json"] = summary
 
-    out = _out_dir(args)
-    for name, (write, *content) in files.items():
-        write(out / name, *content)
-    _write_manifest(out, args, raw)
-    print(f"wrote {', '.join([*files, 'manifest.json'])} to {out}")
+    print(_write_outputs(args, raw, files))
     return 0
 
 
 def cmd_detect_study(args) -> int:
     raw = _load_config(args.config, args.seed)
     table = run_detection_study(_detect_config(raw), threads=args.threads)
-    out = _out_dir(args)
-    _write_csv(
-        out / "frequency.csv", ["count", *table.column_labels], table.frequencies, table.row_labels
-    )
-    _write_manifest(out, args, raw)
-    print(f"wrote frequency.csv, manifest.json to {out}")
+    frequency = (["count", *table.column_labels], table.frequencies, table.row_labels)
+    print(_write_outputs(args, raw, {"frequency.csv": frequency}))
     return 0
 
 
@@ -443,21 +433,10 @@ def cmd_detect(args) -> int:
         "n": dims.n,
         "top_eigenvalues": [float(v) for v in vals[: args.top]],
     }
-    print(json.dumps(result, indent=2, sort_keys=True))
     if args.out_dir is not None:
-        out = _out_dir(args)
-        _write_json(out / "result.json", result)
-        _write_manifest(
-            out,
-            args,
-            {
-                "signal": args.signal,
-                "noise": args.noise,
-                "dn_override": args.dn_override,
-                "center": args.center,
-                "top": args.top,
-            },
-        )
+        recorded = ("signal", "noise", "dn_override", "center", "top")
+        _write_outputs(args, {key: getattr(args, key) for key in recorded}, {"result.json": result})
+    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 

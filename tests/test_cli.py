@@ -884,6 +884,30 @@ class TestDetect:
         assert captured.out == ""
 
 
+class TestUnwritableOutDir:
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", ["law", "simulate-clt", "detect-study", "detect"])
+    def test_exits_two(self, tmp_path, capsys, command, under_file):
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        out = blocker / "sub" if under_file else blocker
+        if command == "law":
+            argv = ["law", 0.2, 0.5, "--points", 8]
+        elif command == "simulate-clt":
+            argv = [command, "--config", write_clt_config(tmp_path / "study.json")]
+        elif command == "detect-study":
+            argv = [command, "--config", write_detect_config(tmp_path / "study.json")]
+        else:
+            xpath, zpath = TestDetect.make_records(tmp_path)
+            argv = ["detect", "--signal", xpath, "--noise", zpath]
+        assert run_cli(*argv, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write") and str(out) in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert blocker.read_text() == ""
+
+
 class TestImportPath:
     """The command line loads numpy and scipy's bundled OpenBLAS, and nothing later.
 
