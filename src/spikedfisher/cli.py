@@ -12,8 +12,11 @@ separators, and a header row, so repeated runs with the same config and
 seed are byte-identical regardless of thread count: BLAS runs on one
 thread for the length of a command, so `--threads` is the only
 parallelism and the machine's BLAS setting does not reach the bytes
-(manifest.json records it as `blas_threads`).  Timestamps live only in
-manifest.json.  A command computes all its files before it makes
+(manifest.json records it as `blas_threads`).  For the same reason,
+importing this module loads both OpenBLAS copies with a one-thread pool
+unless OPENBLAS_NUM_THREADS is set, and `main` has glibc's malloc keep
+freed memory for the next replicate; neither reaches the bytes.  Timestamps live
+only in manifest.json.  A command computes all its files before it makes
 --out-dir, so a failing study writes nothing.  Exit codes: 0 success,
 2 invalid parameters or config, or an --out-dir that cannot be written,
 3 numerical failure.
@@ -28,19 +31,34 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import datetime
 import inspect
 import json
 # argparse's gettext imports locale on the first parse; load it with the package, not inside a study.
 import locale  # noqa: F401
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
+# OpenBLAS sizes its thread pool when it is loaded, and a new pool spins for
+# about 0.13 s.  A command runs BLAS on one thread anyway, so unless the user
+# chose a count both copies load with a one-thread pool; the variable is gone
+# again once they are loaded, so child processes see the caller's environment.
+_BLAS_ENV_SET = "OPENBLAS_NUM_THREADS" in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    # sampling first: it opens scipy's OpenBLAS, then imports numpy.
+    from .sampling import EntryDistribution, ModelDims, _blas_threads, _one_blas_thread
+finally:
+    if not _BLAS_ENV_SET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import __version__
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
 from .detect import (
     DetectorConfig,
     SignalModel,
@@ -68,7 +86,6 @@ from .experiments import (
     summarize,
 )
 from .randomness import require_seed
-from .sampling import EntryDistribution, ModelDims, _blas_threads, _one_blas_thread
 from .spikes import SpikeSpec
 from .wachter import FisherParams, critical_interval, density, mass_at_zero, support_edges
 
@@ -489,7 +506,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for the next replicate.
+
+    By default it maps large arrays afresh, unmaps them when freed and trims
+    the heap's top, so every replicate faults its pages in again.  Nothing
+    happens where the C library has no `mallopt` (not glibc) or, on Windows,
+    no handle.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        return
+    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD: arrays under 64 MiB come from the heap
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: up to 256 MiB free at its top stays
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         with _one_blas_thread():

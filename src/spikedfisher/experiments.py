@@ -12,9 +12,9 @@ them, and a result holds only what was measured.  A CLT replicate is
 derives its own counter-based stream from (master_seed, stream tag,
 replicate index), so results are bit-identical for any thread count and any
 scheduling order.  While a study runs, BLAS runs on one thread
-(`sampling._one_blas_thread`): worker threads, at most one per core, are the
-only parallelism, and the bits do not depend on the machine's BLAS thread
-setting.
+(`sampling._one_blas_thread`): worker threads, at most one per usable
+core, are the only parallelism, and the bits do not depend on the machine's
+BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -213,14 +213,22 @@ class FrequencyTable:
         return self.frequencies[:, j]
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _map_indexed(worker, count: int, threads: int) -> list:
     """Run worker(0..count-1), results in index order regardless of threads.
 
-    At most one worker starts per core: a larger `threads` is accepted and
-    capped.
+    At most one worker starts per core the process may run on: a larger
+    `threads` is accepted and capped.
     """
     require_count(threads, "thread count", 1)
-    workers = min(threads, count, os.cpu_count() or 1)
+    workers = min(threads, count, _usable_cores())
     if workers <= 1:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

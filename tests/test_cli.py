@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spikedfisher
-from spikedfisher import experiments, sampling
+from spikedfisher import cli, experiments, sampling
 from spikedfisher.cli import build_parser, main
 
 
@@ -962,6 +962,45 @@ print(json.dumps(opened))
         assert "libscipy_openblas-" in opened[0][0]
         assert opened[0][1] is False
 
+    @staticmethod
+    def blas_child(code, cwd, blas=None):
+        """`code`'s last printed JSON line, run with OPENBLAS_NUM_THREADS unset or set to `blas`.
+
+        The other variables OpenBLAS reads its thread count from are unset too.
+        """
+        env = package_env()
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(name, None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    READ_BLAS = """
+import json, os
+from spikedfisher import sampling
+print(json.dumps([sampling._blas_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+    def test_command_line_loads_blas_on_one_thread(self, tmp_path):
+        if len(sampling._BLAS_CONTROLS) != 2:
+            pytest.skip("needs the thread controls of both OpenBLAS copies")
+        # Both pools start on one thread, and the caller's environment is as it was.
+        code = "import spikedfisher.cli" + self.READ_BLAS
+        assert self.blas_child(code, tmp_path) == [1, None]
+        # A count the user chose wins.
+        assert self.blas_child(code, tmp_path, blas="2") == [2, "2"]
+
+    def test_library_keeps_the_default_pool(self, tmp_path):
+        if len(sampling._BLAS_CONTROLS) != 2 or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs both OpenBLAS copies and two usable cores")
+        for first in ("import spikedfisher", "import spikedfisher.sampling"):
+            threads, env = self.blas_child(first + self.READ_BLAS, tmp_path)
+            assert threads > 1 and env is None, first
+
     def test_threaded_studies_import_nothing(self, tmp_path):
         clt = write_clt_config(tmp_path / "clt.json", replicates=4, kde_points=5)
         det = write_detect_config(tmp_path / "det.json", replicates=4)
@@ -991,6 +1030,71 @@ print(json.dumps(sorted(set(sys.modules) - before)))
             expected = stats.kstest(x, stats.norm(loc=m, scale=math.sqrt(v)).cdf).statistic
             # math.erfc and scipy's ndtr may differ in the last bit of the CDF.
             assert abs(spikedfisher.summarize(x, *ref).ks_distance - expected) <= np.finfo(float).eps, (size, k)
+
+
+class TestPublicSurface:
+    """`spikedfisher` re-exports every submodule's `__all__`, whichever import came first.
+
+    The exports load on first use, so each order runs in a fresh interpreter.
+    """
+
+    SUBMODULES = ("errors", "wachter", "spikes", "sampling", "detect", "experiments", "randomness")
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import spikedfisher",
+            "import spikedfisher.cli",
+            "import spikedfisher.detect",
+            "from spikedfisher.detect import SignalModel",
+        ],
+    )
+    def test_surface_under_every_import_order(self, tmp_path, first):
+        code = f"""{first}
+import json, sys
+import spikedfisher as sf
+detect, exported = sf.detect, sf.__all__
+names = ["__version__"]
+for sub in {self.SUBMODULES!r}:
+    names += sys.modules["spikedfisher." + sub].__all__
+star = {{}}
+exec("from spikedfisher import *", star)
+print(json.dumps([
+    detect is sys.modules["spikedfisher.detect"].detect,
+    exported == names,
+    [n for n in names if n not in star or star[n] is not getattr(sf, n)],
+]))
+"""
+        assert TestImportPath.fresh_python(code, tmp_path) == [True, True, []]
+
+    def test_import_loads_no_numpy(self, tmp_path):
+        code = "import json, sys, spikedfisher; print(json.dumps('numpy' in sys.modules))"
+        assert TestImportPath.fresh_python(code, tmp_path) is False
+
+
+class TestKeepFreedMemory:
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None
+                self.mallopt = lambda *args: calls.append(args)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+        cli._keep_freed_memory()
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20)]
+
+    @pytest.mark.parametrize("error", [AttributeError, TypeError])
+    def test_does_nothing_without_mallopt(self, monkeypatch, tmp_path, error):
+        def no_mallopt(name):
+            if error is AttributeError:
+                return object()  # a C library without the symbol
+            raise error("no C library handle")  # ctypes.CDLL(None) on Windows
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+        assert cli._keep_freed_memory() is None
+        assert run_cli("law", 0.2, 0.5, "--points", 8, "--out-dir", tmp_path) == 0
 
 
 class TestBlasDeterminism:

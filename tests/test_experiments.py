@@ -377,8 +377,10 @@ class TestMapIndexed:
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", self.RecordingPool)
         return self.RecordingPool
 
+    # Without CPU affinity (not Linux) the cores are os.cpu_count()'s.
     @pytest.mark.parametrize("cores, count, workers", [(4, 10, 4), (16, 3, 3)])
     def test_caps_workers_at_cores_and_count(self, monkeypatch, pool, cores, count, workers):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
         squares = experiments._map_indexed(lambda i: i * i, count, 10**6)
         assert squares == [i * i for i in range(count)]
@@ -386,9 +388,18 @@ class TestMapIndexed:
 
     @pytest.mark.parametrize("cores", [1, None])
     def test_one_core_runs_inline(self, monkeypatch, pool, cores):
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
         assert experiments._map_indexed(lambda i: -i, 5, 10**6) == [0, -1, -2, -3, -4]
         assert pool.sizes == []
+
+    @pytest.mark.parametrize("usable, workers", [({3}, []), ({0, 5, 6}, [3])], ids=["one", "three"])
+    def test_caps_workers_at_cpu_affinity(self, monkeypatch, pool, usable, workers):
+        # A run pinned by taskset or a cpuset starts no more workers than it may run.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: usable, raising=False)
+        assert experiments._map_indexed(lambda i: 2 * i, 6, 10**6) == [0, 2, 4, 6, 8, 10]
+        assert pool.sizes == workers
 
     def test_thread_count_still_checked(self):
         for threads in (0, -1, 2.0, True):

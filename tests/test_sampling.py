@@ -425,7 +425,7 @@ class TestLapackCalls:
 
     @pytest.mark.parametrize("dist", [GAUSSIAN, RADEMACHER], ids=lambda d: d.name)
     def test_two_workers_give_the_serial_bits(self, monkeypatch, dist):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         dims = ModelDims(p=60, n=120, T=150)
 
         def one(rep):
