@@ -6,8 +6,8 @@ The public surface re-exports the `__all__` of every submodule;
 The exports load on first use (PEP 562): `import spikedfisher` imports no
 numpy and opens no OpenBLAS, so `spikedfisher.cli` can choose the thread
 pool the libraries start with before anything loads them.  The first name
-looked up loads every submodule, `sampling` first, as an eager package
-would.  `spikedfisher.detect` is the function whichever import loaded the
+looked up loads every submodule, as an eager package would.
+`spikedfisher.detect` is the function whichever import loaded the
 submodule of that name.
 """
 
@@ -26,8 +26,6 @@ class _Package(types.ModuleType):
         # Dunder probes (copy, pickle, inspect) load nothing; `__all__` loads everything.
         if "__all__" in vars(self) or (name.startswith("__") and name != "__all__"):
             raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
-        # sampling first: it opens scipy's OpenBLAS before numpy is imported.
-        importlib.import_module(".sampling", self.__name__)
         exports = ["__version__"]
         for sub in _SUBMODULES:
             module = importlib.import_module(f".{sub}", self.__name__)

@@ -50,7 +50,7 @@ from pathlib import Path
 _BLAS_ENV_SET = "OPENBLAS_NUM_THREADS" in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 try:
-    # sampling first: it opens scipy's OpenBLAS, then imports numpy.
+    # sampling imports numpy and opens scipy's OpenBLAS: the first import to load either copy.
     from .sampling import EntryDistribution, ModelDims, _blas_threads, _one_blas_thread
 finally:
     if not _BLAS_ENV_SET:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, finite_array, require_real
+from .errors import NumericalError, ParameterError, finite_array, require_real
 from .randomness import ensure_generator
 from .sampling import EntryDistribution, ModelDims, _data_spectrum, _one_blas_thread, require_distribution
 from .wachter import support_edges
@@ -67,7 +67,7 @@ class SignalModel:
         noise_cov: p x p positive definite noise covariance Sigma2.
         dims: finite-sample dimensions; dims.p must match the matrices.
         whitened: M = Sigma2^{-1/2} A (symmetric root), the mixing of the
-            whitened records; computed, not settable.
+            whitened records; computed (NumericalError if it overflows), not settable.
     """
 
     mixing: np.ndarray
@@ -89,16 +89,18 @@ class SignalModel:
         if k > p:
             raise ParameterError(f"more signal channels ({k}) than records ({p})")
         scale = max(1.0, float(np.max(np.abs(noise))))
-        if np.max(np.abs(noise - noise.T)) > _SYM_RTOL * scale:
+        if np.max(np.abs(noise / scale - noise.T / scale)) > _SYM_RTOL:  # scaled first: no overflow
             raise ParameterError("noise covariance must be symmetric")
         # One eigh validates Sigma2 and whitens A, on one BLAS thread: the count moves its bits.
-        with _one_blas_thread():
+        with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
             vals, vecs = np.linalg.eigh(noise)
             if vals[0] <= 0.0:
                 raise ParameterError(
                     f"noise covariance must be positive definite; smallest eigenvalue {vals[0]:.3e}"
                 )
             whitened = (vecs / np.sqrt(vals)) @ (vecs.T @ mixing)
+        if not np.isfinite(whitened).all():
+            raise NumericalError("the whitened mixing Sigma2^{-1/2} A overflows")
         for name, mat in (("mixing", mixing), ("noise_cov", noise), ("whitened", whitened)):
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
@@ -117,7 +119,8 @@ class SignalModel:
         """
         rng, dist, dims = ensure_generator(rng), require_distribution(dist), self.dims
         s = dist.draw(rng, (self.num_signals, dims.T))
-        x = self.whitened @ s + dist.draw(rng, (dims.p, dims.T))
+        with np.errstate(over="ignore", invalid="ignore"):  # the Grams' finite check reports it
+            x = self.whitened @ s + dist.draw(rng, (dims.p, dims.T))
         return x, dist.draw(rng, (dims.p, dims.n))
 
 

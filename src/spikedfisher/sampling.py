@@ -45,6 +45,13 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .errors import NumericalError, ParameterError, finite_array, require_buffer, require_count
+from .randomness import ensure_generator
+from .spikes import SpikeSpec
+from .wachter import FisherParams
+
 
 def _openblas(package: str, pattern: str) -> ctypes.CDLL | None:
     """The OpenBLAS bundled beside the installed `package`, or None (another BLAS build).
@@ -60,21 +67,10 @@ def _openblas(package: str, pattern: str) -> ctypes.CDLL | None:
         return None
 
 
-# scipy's copy, with C-int indices, gives the pencil's LAPACK routines.  It is
-# opened before numpy is imported: a freshly loaded OpenBLAS spins its pool
-# threads for about 0.13 s, which costs nothing while the import runs on one
-# thread but takes a core from a study's workers if the study starts within it.
-_SCIPY_OPENBLAS = _openblas("scipy", "scipy.libs/libscipy_openblas-*.so")
-
-import numpy as np  # noqa: E402
-
-from .errors import NumericalError, ParameterError, finite_array, require_buffer, require_count  # noqa: E402
-from .randomness import ensure_generator  # noqa: E402
-from .spikes import SpikeSpec  # noqa: E402
-from .wachter import FisherParams  # noqa: E402
-
-# numpy's copy, with 64-bit-integer indices, runs the Grams.
+# numpy's copy, with 64-bit-integer indices, runs the Grams; scipy's, with C-int
+# indices, gives the pencil's LAPACK routines.
 _NUMPY_OPENBLAS = _openblas("numpy", "numpy.libs/libscipy_openblas64_*.so")
+_SCIPY_OPENBLAS = _openblas("scipy", "scipy.libs/libscipy_openblas-*.so")
 
 __all__ = [
     "EntryDistribution",
@@ -404,14 +400,17 @@ def _gram_count(
 
     Raises:
         NumericalError: as `pencil_eigenvalues`: if S2 is not numerically
-            positive definite or an entry is not finite.
+            positive definite or an entry is not finite, also of gate S2 - S1.
     """
     s1, s2 = _grams(x, z, dims)
     # dpotrf's info is the first leading minor that is not positive definite (0 if none).  "U"
     # on the C-ordered Gram reads its lower triangle, as `pencil_eigenvalues` does.
     factor, p = s2.copy(), len(s2)
     _require_definite_noise(_lapack("dpotrf", b"U", p, factor, p), factor, s2)
-    if _lapack("dpotrf", b"U", p, gate * s2 - s1, p) == 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 < t <= g puts t S2 - S1 between -S1 and this
+        gated = np.subtract(gate * s2, s1, out=factor)  # S2's factor is checked: reuse its buffer
+    _require_finite("the gated pencil g S2 - S1", gated)
+    if _lapack("dpotrf", b"U", p, gated, p) == 0:
         return 0
     return p - _positive_inertia(threshold * s2 - s1)
 

@@ -385,6 +385,37 @@ class TestDetectStudy:
         rerun = rerun_from_manifest("detect-study", out, tmp_path)
         assert (rerun / "frequency.csv").read_bytes() == (out / "frequency.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # The gate near the largest float overflows gate S2 - S1.
+            {"ladder": [[20, 22, 100]], "model": {"kind": "null"}, "dn_override": 1e308},
+            # Whitening 1e200 e1 by (1e-300 I)^{-1/2} overflows as the model is built.
+            {
+                "ladder": [[4, 10, 20]],
+                "model": {"kind": "custom", "mixing": [[1e200], [0.0], [0.0], [0.0]],
+                          "noise_cov": (1e-300 * np.eye(4)).tolist()},
+                "replicates": 5,
+            },
+            # The whitened mixing is finite; the records it mixes are not.
+            {
+                "ladder": [[4, 10, 20]],
+                "model": {"kind": "custom", "mixing": [[1.7e308], [0.0], [0.0], [0.0]],
+                          "noise_cov": np.eye(4).tolist()},
+                "replicates": 5,
+            },
+        ],
+        ids=["gate", "whitening", "records"],
+    )
+    def test_overflow_exits_three_without_a_warning(self, tmp_path, capsys, overrides):
+        config = write_detect_config(tmp_path / "study.json", seed=1, **overrides)
+        out = tmp_path / "out"
+        assert run_cli("detect-study", "--config", config, "--out-dir", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_shift_is_a_config_key_not_a_flag(self, tmp_path, capsys):
         config = write_detect_config(tmp_path / "study.json")
         with pytest.raises(SystemExit) as excinfo:
@@ -925,42 +956,16 @@ class TestImportPath:
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
-    def test_import_skips_stats_integrate_optimize(self, tmp_path):
+    def test_import_skips_scipy_submodules(self, tmp_path):
         loaded = self.fresh_python(
             "import json, sys, spikedfisher.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
         )
-        for name in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+        for name in ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special"):
             assert name not in loaded
-
-    def test_import_skips_linalg_and_special(self, tmp_path):
-        loaded = self.fresh_python(
-            "import json, sys, spikedfisher.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
-        )
-        assert "scipy.special" not in loaded
         # A scipy build that bundles no OpenBLAS takes its LAPACK from scipy.linalg;
         # one that does loads no scipy module at all.
         if sampling._SCIPY_OPENBLAS is not None:
             assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
-
-    def test_scipy_openblas_opens_before_numpy(self, tmp_path):
-        # A freshly loaded OpenBLAS spins its pool threads for about 0.13 s: that
-        # must overlap the import, not the first replicates of a study.
-        code = """
-import ctypes, json, sys
-opened = []
-class Probe(ctypes.CDLL):
-    def __init__(self, name, *args, **kwargs):
-        opened.append([str(name), "numpy" in sys.modules])
-        super().__init__(name, *args, **kwargs)
-ctypes.CDLL = Probe
-import spikedfisher.cli
-print(json.dumps(opened))
-"""
-        opened = self.fresh_python(code, tmp_path)
-        if sampling._SCIPY_OPENBLAS is None:
-            pytest.skip("this scipy build bundles no OpenBLAS")
-        assert "libscipy_openblas-" in opened[0][0]
-        assert opened[0][1] is False
 
     @staticmethod
     def blas_child(code, cwd, blas=None):
@@ -993,6 +998,14 @@ print(json.dumps([sampling._blas_threads(), os.environ.get("OPENBLAS_NUM_THREADS
         assert self.blas_child(code, tmp_path) == [1, None]
         # A count the user chose wins.
         assert self.blas_child(code, tmp_path, blas="2") == [2, "2"]
+
+    def test_command_line_import_leaves_one_thread(self, tmp_path):
+        # With both pools on one thread no pool thread spins while a command starts,
+        # so the order in which the two OpenBLAS copies load costs nothing.
+        if not Path("/proc/self/task").is_dir() or len(sampling._BLAS_CONTROLS) != 2:
+            pytest.skip("needs /proc and the thread controls of both OpenBLAS copies")
+        code = 'import json, os, spikedfisher.cli; print(json.dumps(len(os.listdir("/proc/self/task"))))'
+        assert self.blas_child(code, tmp_path) == 1
 
     def test_library_keeps_the_default_pool(self, tmp_path):
         if len(sampling._BLAS_CONTROLS) != 2 or len(os.sched_getaffinity(0)) < 2:

@@ -10,6 +10,7 @@ from spikedfisher import (
     DetectorConfig,
     FisherParams,
     ModelDims,
+    NumericalError,
     ParameterError,
     SignalModel,
     block_noise_model,
@@ -50,10 +51,18 @@ class TestSignalModel:
         asym[0, 1] = 0.5
         with pytest.raises(ParameterError):
             SignalModel(mixing=np.ones((6, 1)), noise_cov=asym, dims=self.DIMS)
+        # Their difference would overflow: rejected as asymmetric, with no numpy warning.
+        asym[0, 1], asym[1, 0] = 1e308, -1e308
+        with pytest.raises(ParameterError, match="symmetric"):
+            SignalModel(mixing=np.ones((6, 1)), noise_cov=asym, dims=self.DIMS)
         indef = np.eye(6)
         indef[5, 5] = -1.0
         with pytest.raises(ParameterError):
             SignalModel(mixing=np.ones((6, 1)), noise_cov=indef, dims=self.DIMS)
+
+    def test_whitening_overflow_raises(self):
+        with pytest.raises(NumericalError, match="whitened mixing"):
+            SignalModel(mixing=1e200 * np.eye(6, 1), noise_cov=1e-300 * np.eye(6), dims=self.DIMS)
 
 
 class TestDetectorConfig:

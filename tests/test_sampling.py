@@ -323,6 +323,13 @@ class TestPencil:
         with pytest.raises(NumericalError, match="numerically singular"):
             sampling._gram_count(x, z, dims, 1.0, 2.0)
 
+    def test_gate_pencil_overflow_raises(self):
+        # S2 near 4 I times a gate near the largest float: an error, not numpy's warning.
+        rng = np.random.default_rng(5)
+        x, z = rng.standard_normal((10, 40)), rng.standard_normal((10, 30))
+        with pytest.raises(NumericalError, match="gated pencil"):
+            sampling._gram_count(x, 2 * z, ModelDims(p=10, n=30, T=40), 1e308, 1e308)
+
 
 class TestLapackCalls:
     """The ctypes LAPACK calls against scipy.linalg as the oracle: the same bits."""
